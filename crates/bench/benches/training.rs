@@ -1,5 +1,5 @@
 //! Criterion benches for training-step cost (forward + backward + Adam) and
-//! for the substrate layers (simulator event throughput, autodiff tape).
+//! simulator event throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use routenet_core::prelude::*;
@@ -47,10 +47,8 @@ fn bench_train_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batched CSR kernel vs the per-sample path, and its thread scaling.
-/// Throughput is samples/s over a fixed nsfnet14 sweep (epochs × samples),
-/// so the two groups are directly comparable: the acceptance bar for the
-/// batched refactor is read straight off this report.
+/// Training throughput of the batched CSR kernel and its thread scaling,
+/// in samples/s over a fixed nsfnet14 sweep (epochs × samples).
 fn bench_batched_kernel(c: &mut Criterion) {
     let mut cfg = GenConfig::new(TopologySpec::Nsfnet, 1, 3);
     cfg.sim.duration_s = 20.0;
@@ -59,28 +57,17 @@ fn bench_batched_kernel(c: &mut Criterion) {
     let epochs = 2usize;
     let work = (samples.len() * epochs) as u64;
 
-    let train_once = |samples: &[routenet_core::Sample], batched: bool, threads: usize| {
+    let train_once = |samples: &[routenet_core::Sample], threads: usize| {
         let mut model = RouteNet::new(RouteNetConfig::default());
         let cfg = TrainConfig {
             epochs,
             batch_size: samples.len(),
             threads,
-            batched,
             keep_best: false,
             ..TrainConfig::default()
         };
         train(&mut model, samples, &[], &cfg).expect("train")
     };
-
-    let mut group = c.benchmark_group("batched_vs_per_sample");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(work));
-    for (name, batched) in [("per_sample", false), ("batched", true)] {
-        group.bench_with_input(BenchmarkId::new(name, "nsfnet14x8"), &samples, |b, s| {
-            b.iter(|| train_once(s, batched, 1));
-        });
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("batched_thread_sweep");
     group.sample_size(10);
@@ -100,7 +87,7 @@ fn bench_batched_kernel(c: &mut Criterion) {
             BenchmarkId::new("nsfnet14x8_threads", threads),
             &samples,
             |b, s| {
-                b.iter(|| train_once(s, true, threads));
+                b.iter(|| train_once(s, threads));
             },
         );
     }
@@ -132,34 +119,10 @@ fn bench_simulator_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_autodiff(c: &mut Criterion) {
-    use routenet_nn::prelude::*;
-    // A representative GRU-chain tape: forward + backward.
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
-    let mut store = ParamStore::new();
-    let gru = GruCell::new(&mut store, "g", 16, 16, &mut rng);
-    let x = Tensor::full(256, 16, 0.1);
-    let target = Tensor::zeros(256, 16);
-    c.bench_function("autodiff_gru_chain_8steps_b256", |b| {
-        b.iter(|| {
-            let mut sess = Session::new(&store);
-            let xv = sess.input(x.clone());
-            let mut h = sess.input(Tensor::zeros(256, 16));
-            for _ in 0..8 {
-                h = gru.step(&mut sess, xv, h);
-            }
-            let loss = sess.tape.mse(h, &target);
-            let grads = sess.tape.backward(loss);
-            sess.param_grads(&grads)
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_train_step,
     bench_batched_kernel,
-    bench_simulator_throughput,
-    bench_autodiff
+    bench_simulator_throughput
 );
 criterion_main!(benches);

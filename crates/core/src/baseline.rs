@@ -276,6 +276,8 @@ impl FnnBaseline {
             })
             .collect();
 
+        // Every input is one 1-row sample: a single-segment plan.
+        let seg = SegmentPlan::singleton(1);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
@@ -284,10 +286,10 @@ impl FnnBaseline {
                 for &i in chunk {
                     let mut sess = Session::new(&store);
                     let x = sess.input(inputs[i].clone());
-                    let pred = mlp.forward(&mut sess, x);
+                    let pred = mlp.forward(&mut sess, x, &seg);
                     let loss = sess.tape.mse(pred, &targets[i]);
                     let grads = sess.tape.backward(loss);
-                    acc.add(&sess.param_grads(&grads));
+                    acc.add(&sess.param_grads_seg(&grads, 1).remove(0));
                 }
                 let mut g = acc.take_mean();
                 routenet_nn::optim::clip_global_norm(&mut g, 5.0);
@@ -320,7 +322,7 @@ impl KpiPredictor for FnnBaseline {
         );
         let mut sess = Session::new(&self.store);
         let x = sess.input(Self::input_tensor(&self.norm, scenario));
-        let pred = self.mlp.forward(&mut sess, x);
+        let pred = self.mlp.forward(&mut sess, x, &SegmentPlan::singleton(1));
         let v = sess.tape.value(pred);
         (0..self.n_pairs)
             // lint: allow(nan-sink, reason = "NaN is the deliberate 'KPI not predicted' sentinel; eval masks NaN columns")

@@ -4,11 +4,11 @@
 //! tensors row-block-wise and rebases every position's gather/scatter
 //! indices into the concatenated row space — a CSR layout where
 //! [`SegmentPlan`]s are the row pointers. [`crate::model::RouteNet::forward_batch`]
-//! then replays the *same* op sequence as the per-sample forward over the
-//! concatenated rows, using segment-aware ops for every cross-row reduction
-//! that touches a parameter, so per-sample losses and gradients recovered
-//! from a batched tape are bitwise identical to running each sample on its
-//! own tape (see DESIGN.md "Batched execution & memory arenas").
+//! runs over the concatenated rows, using segment-aware ops for every
+//! cross-row reduction that touches a parameter, so per-sample losses and
+//! gradients recovered from a packed tape are bitwise identical to running
+//! each sample as a batch of one (see DESIGN.md "Batched execution & memory
+//! arenas").
 
 use crate::model::CompiledScenario;
 use routenet_nn::{IndexPlan, SegmentPlan, Tensor};

@@ -7,6 +7,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Summary of a prediction-vs-truth comparison.
+///
+/// The absolute metrics (MAE, RMSE, Pearson r, R²) cover all `n` pairs.
+/// The relative-error figures cover only pairs with a non-zero truth
+/// (`n - re_skipped` of them); a zero truth has no relative error. When
+/// every truth is zero the relative-error figures are NaN.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalSummary {
     /// Number of (prediction, truth) pairs.
@@ -15,51 +20,40 @@ pub struct EvalSummary {
     pub mae: f64,
     /// Root mean squared error.
     pub rmse: f64,
-    /// Mean relative error `|p - t| / t`.
+    /// Mean relative error `|p - t| / t` over the non-zero-truth pairs.
     /// unit: ratio
     pub mre: f64,
-    /// Median relative error.
+    /// Median relative error over the non-zero-truth pairs.
     /// unit: ratio
     pub median_re: f64,
-    /// 95th-percentile relative error.
+    /// 95th-percentile relative error over the non-zero-truth pairs.
     /// unit: ratio
     pub p95_re: f64,
+    /// Pairs left out of the relative-error figures because their truth
+    /// is exactly zero.
+    /// unit: count
+    pub re_skipped: usize,
     /// Pearson correlation coefficient.
     pub pearson_r: f64,
     /// Coefficient of determination.
     pub r2: f64,
 }
 
-/// Relative errors `|p - t| / max(t, eps)` with `eps` guarding tiny truths.
-pub fn relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
-    assert_eq!(preds.len(), truths.len(), "length mismatch");
-    const EPS: f64 = 1e-12;
-    preds
-        .iter()
-        .zip(truths)
-        .map(|(&p, &t)| (p - t).abs() / t.abs().max(EPS))
-        .collect()
-}
-
-/// Signed relative errors `(p - t) / max(|t|, eps)` (Fig. 3 uses the
-/// distribution of signed errors in some renditions; we expose both).
+/// Apply `err(p, t)` to every pair whose truth is non-zero, returning the
+/// errors and the number of zero-truth pairs skipped.
 ///
-/// Zero-truth rows are *skipped*: `delay == 0` is the simulator's sentinel
-/// for a flow that produced no measured packets (the same family
-/// `top_n_paths_by_delay` filters), and flooring them with `eps` turned
-/// each one into a ~1e12 pseudo-error that silently dominated MRE/p95.
-/// Use [`signed_relative_errors_counted`] to also learn how many rows
-/// were skipped.
-pub fn signed_relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
-    signed_relative_errors_counted(preds, truths).0
-}
-
-/// [`signed_relative_errors`] plus the number of zero-truth sentinel rows
-/// that were skipped, so callers can surface coverage honestly instead of
-/// absorbing unobserved flows into the error distribution.
-pub fn signed_relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64>, usize) {
+/// A zero truth has no relative error: `delay == 0` is the simulator's
+/// sentinel for a flow that produced no measured packets, and a jitter of
+/// exactly zero is a flow whose packets all saw the same delay. Flooring
+/// such truths at `eps` would turn each one into a ~1e12 pseudo-error that
+/// dominates MRE and p95. Tiny but non-zero truths still go through the
+/// `eps` guard.
+fn nonzero_truth_errors(
+    preds: &[f64],
+    truths: &[f64],
+    err: impl Fn(f64, f64) -> f64,
+) -> (Vec<f64>, usize) {
     assert_eq!(preds.len(), truths.len(), "length mismatch");
-    const EPS: f64 = 1e-12;
     let mut errors = Vec::with_capacity(preds.len());
     let mut skipped = 0usize;
     for (&p, &t) in preds.iter().zip(truths) {
@@ -67,10 +61,36 @@ pub fn signed_relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64
         if t == 0.0 {
             skipped += 1;
         } else {
-            errors.push((p - t) / t.abs().max(EPS));
+            errors.push(err(p, t));
         }
     }
     (errors, skipped)
+}
+
+/// Floor for the relative-error denominator of tiny non-zero truths.
+const RE_EPS: f64 = 1e-12;
+
+/// Relative errors `|p - t| / max(|t|, eps)`, skipping zero-truth pairs
+/// (see [`EvalSummary::re_skipped`]).
+pub fn relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
+    relative_errors_counted(preds, truths).0
+}
+
+/// [`relative_errors`] plus the number of zero-truth pairs skipped.
+fn relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64>, usize) {
+    nonzero_truth_errors(preds, truths, |p, t| (p - t).abs() / t.abs().max(RE_EPS))
+}
+
+/// Signed relative errors `(p - t) / max(|t|, eps)` (Fig. 3 uses the
+/// distribution of signed errors in some renditions; we expose both).
+/// Zero-truth pairs are skipped, as in [`relative_errors`].
+pub fn signed_relative_errors(preds: &[f64], truths: &[f64]) -> Vec<f64> {
+    signed_relative_errors_counted(preds, truths).0
+}
+
+/// [`signed_relative_errors`] plus the number of zero-truth pairs skipped.
+pub fn signed_relative_errors_counted(preds: &[f64], truths: &[f64]) -> (Vec<f64>, usize) {
+    nonzero_truth_errors(preds, truths, |p, t| (p - t) / t.abs().max(RE_EPS))
 }
 
 /// `q`-th percentile (0..=100) by linear interpolation on sorted data.
@@ -153,14 +173,24 @@ pub fn evaluate(preds: &[f64], truths: &[f64]) -> EvalSummary {
         .sum::<f64>()
         / n as f64)
         .sqrt();
-    let re = relative_errors(preds, truths);
+    let (re, re_skipped) = relative_errors_counted(preds, truths);
+    let (mre, median_re, p95_re) = if re.is_empty() {
+        (f64::NAN, f64::NAN, f64::NAN)
+    } else {
+        (
+            re.iter().sum::<f64>() / re.len() as f64,
+            percentile(&re, 50.0),
+            percentile(&re, 95.0),
+        )
+    };
     EvalSummary {
         n,
         mae,
         rmse,
-        mre: re.iter().sum::<f64>() / n as f64,
-        median_re: percentile(&re, 50.0),
-        p95_re: percentile(&re, 95.0),
+        mre,
+        median_re,
+        p95_re,
+        re_skipped,
         pearson_r: pearson(preds, truths),
         r2: r_squared(preds, truths),
     }
@@ -262,9 +292,35 @@ mod tests {
     }
 
     #[test]
-    fn tiny_truth_guarded() {
-        let re = relative_errors(&[1.0], &[0.0]);
+    fn zero_truths_are_skipped_from_relative_errors() {
+        // Row 1 has an exactly-zero truth (e.g. a constant-delay flow's
+        // jitter). It has no relative error: it is skipped and counted,
+        // and the RE figures average over the kept rows only.
+        let preds = vec![1.1, 0.5, 2.7];
+        let truths = vec![1.0, 0.0, 3.0];
+        let (re, skipped) = relative_errors_counted(&preds, &truths);
+        assert_eq!(skipped, 1);
+        assert_eq!(re.len(), 2);
+        assert_eq!(relative_errors(&preds, &truths), re);
+        let s = evaluate(&preds, &truths);
+        assert_eq!(s.n, 3);
+        assert_eq!(s.re_skipped, 1);
+        assert!((s.mre - 0.1).abs() < 1e-9, "mre over kept rows: {}", s.mre);
+        assert!(s.p95_re < 1.0, "no 1e12 pseudo-errors");
+        // Absolute metrics still cover every row.
+        assert!((s.mae - (0.1 + 0.5 + 0.3) / 3.0).abs() < 1e-12);
+        // Tiny-but-nonzero truths go through the eps guard.
+        let (re, skipped) = relative_errors_counted(&[1.0], &[1e-15]);
+        assert_eq!(skipped, 0);
         assert!(re[0].is_finite());
+    }
+
+    #[test]
+    fn all_zero_truths_yield_no_relative_error_figures() {
+        let s = evaluate(&[0.5, 0.25], &[0.0, 0.0]);
+        assert_eq!(s.re_skipped, 2);
+        assert!(s.mre.is_nan() && s.median_re.is_nan() && s.p95_re.is_nan());
+        assert!((s.mae - 0.375).abs() < 1e-12);
     }
 
     #[test]
@@ -282,9 +338,5 @@ mod tests {
         assert!(sre.iter().all(|e| e.abs() < 1.0), "no 1e12 pseudo-errors");
         // The convenience wrapper agrees.
         assert_eq!(signed_relative_errors(&preds, &truths), sre);
-        // Tiny-but-nonzero truths still go through the eps guard.
-        let (sre, skipped) = signed_relative_errors_counted(&[1.0], &[1e-15]);
-        assert_eq!(skipped, 0);
-        assert!(sre[0].is_finite());
     }
 }

@@ -289,59 +289,16 @@ impl RouteNet {
         }
     }
 
-    /// Build the forward graph for a compiled scenario on `sess`'s tape.
-    /// Returns the `n_paths x out_dim` normalized prediction variable.
-    pub fn forward(&self, sess: &mut Session, compiled: &CompiledScenario) -> Var {
-        let idx = &compiled.tensors;
-        // Copy-in leaves keep the tape's buffer pool balanced when the
-        // session is arena-reused across passes (same values either way).
-        let mut link_state = sess.input_copied(&compiled.link_x);
-        let mut path_state = sess.input_copied(&compiled.path_x);
-
-        for _ in 0..self.config.t_iterations {
-            // Path update: walk hop positions, batching all active paths.
-            // Accumulate messages into per-link inboxes as we go.
-            let mut link_inbox: Option<Var> = None;
-            for k in 0..idx.max_len {
-                let pos = &idx.positions[k]; // lint: allow(panic, reason = "positions holds max_len entries, k < max_len")
-                let x = sess.tape.gather_rows(link_state, pos.link_idx.clone());
-                let h = sess.tape.gather_rows(path_state, pos.path_idx.clone());
-                let h_new = self.path_cell.step(sess, x, h);
-                // Replace the active rows of the path state.
-                // lint: allow(panic, reason = "keep_masks is built with max_len entries in compile, k < max_len")
-                let kept = sess.tape.mul_const(path_state, &compiled.keep_masks[k]);
-                let scattered =
-                    sess.tape
-                        .scatter_add_rows(h_new, pos.path_idx.clone(), idx.n_paths);
-                path_state = sess.tape.add(kept, scattered);
-                // The per-position GRU outputs are the messages m_{p,l}.
-                let msg = sess
-                    .tape
-                    .scatter_add_rows(h_new, pos.link_idx.clone(), idx.n_links);
-                link_inbox = Some(match link_inbox {
-                    Some(acc) => sess.tape.add(acc, msg),
-                    None => msg,
-                });
-            }
-            // Link update from aggregated messages.
-            if let Some(inbox) = link_inbox {
-                link_state = self.link_cell.step(sess, inbox, link_state);
-            }
-        }
-        self.readout.forward(sess, path_state)
-    }
-
     /// Build the forward graph for a packed minibatch on `sess`'s tape.
     /// Returns the `total_paths x out_dim` normalized prediction variable,
-    /// sample row blocks in pack order.
+    /// sample row blocks in pack order. A single scenario is a batch of one.
     ///
-    /// This replays exactly the op sequence of [`RouteNet::forward`] over
-    /// the concatenated rows; every op whose reduction crosses sample
-    /// boundaries while touching a parameter uses its segment-aware variant,
-    /// which iterates segments in sample order. Per-sample output rows and
-    /// the per-segment parameter gradients recovered via
-    /// [`Session::param_grads_seg`] are therefore bitwise identical to
-    /// running each sample through [`RouteNet::forward`] on its own tape.
+    /// Every op whose reduction crosses sample boundaries while touching a
+    /// parameter is a segment op, which iterates segments in sample order.
+    /// Per-sample output rows and the per-segment parameter gradients
+    /// recovered via [`Session::param_grads_seg`] therefore do not depend
+    /// on what else was packed into the batch: they are bitwise what the
+    /// sample produces as a batch of one.
     pub fn forward_batch(&self, sess: &mut Session, batch: &BatchedScenario) -> Var {
         let mut link_state = sess.input_copied(batch.link_x());
         let mut path_state = sess.input_copied(batch.path_x());
@@ -350,17 +307,19 @@ impl RouteNet {
             let mut link_inbox: Option<Var> = None;
             for k in 0..batch.max_len {
                 let pos = batch.position(k);
-                let x = sess.tape.gather_rows_plan(link_state, &pos.link_idx);
-                let h = sess.tape.gather_rows_plan(path_state, &pos.path_idx);
-                let h_new = self.path_cell.step_seg(sess, x, h, &pos.seg);
+                let x = sess.tape.gather_rows(link_state, &pos.link_idx);
+                let h = sess.tape.gather_rows(path_state, &pos.path_idx);
+                let h_new = self.path_cell.step(sess, x, h, &pos.seg);
+                // Replace the active rows of the path state.
                 let kept = sess.tape.mul_const_shared(path_state, batch.keep_mask(k));
-                let scattered =
-                    sess.tape
-                        .scatter_add_rows_plan(h_new, &pos.path_idx, batch.n_paths);
+                let scattered = sess
+                    .tape
+                    .scatter_add_rows(h_new, &pos.path_idx, batch.n_paths);
                 path_state = sess.tape.add(kept, scattered);
+                // The per-position GRU outputs are the messages m_{p,l}.
                 let msg = sess
                     .tape
-                    .scatter_add_rows_plan(h_new, &pos.link_idx, batch.n_links);
+                    .scatter_add_rows(h_new, &pos.link_idx, batch.n_links);
                 link_inbox = Some(match link_inbox {
                     Some(acc) => sess.tape.add(acc, msg),
                     None => msg,
@@ -369,36 +328,20 @@ impl RouteNet {
             if let Some(inbox) = link_inbox {
                 link_state = self
                     .link_cell
-                    .step_seg(sess, inbox, link_state, batch.link_seg());
+                    .step(sess, inbox, link_state, batch.link_seg());
             }
         }
-        self.readout.forward_seg(sess, path_state, batch.path_seg())
+        self.readout.forward(sess, path_state, batch.path_seg())
     }
 
     /// Predict denormalized KPIs for a raw scenario.
     pub fn predict_scenario(&self, scenario: &Scenario) -> Vec<Prediction> {
-        let compiled = self.compile(scenario);
-        self.predict_compiled(&compiled)
+        self.predict_compiled(&self.compile(scenario))
     }
 
-    /// Predict denormalized KPIs for a pre-compiled scenario.
+    /// Predict denormalized KPIs for a pre-compiled scenario (a batch of one).
     pub fn predict_compiled(&self, compiled: &CompiledScenario) -> Vec<Prediction> {
-        self.predict_compiled_reuse(compiled, Tape::new()).0
-    }
-
-    /// [`RouteNet::predict_compiled`] threading an arena-backed tape through
-    /// the call: the tape is reset (recycling its value buffers) before the
-    /// forward pass and returned afterwards, so an eval sweep reuses one
-    /// allocation arena instead of building a fresh tape per sample.
-    pub fn predict_compiled_reuse(
-        &self,
-        compiled: &CompiledScenario,
-        arena: Tape,
-    ) -> (Vec<Prediction>, Tape) {
-        let mut sess = Session::with_tape(&self.store, arena);
-        let out = self.forward(&mut sess, compiled);
-        let preds = self.extract_predictions(sess.tape.value(out));
-        (preds, sess.into_tape())
+        self.predict_batch_compiled(&[compiled]).remove(0)
     }
 
     /// Predict denormalized KPIs for many pre-compiled scenarios in ONE
@@ -415,10 +358,11 @@ impl RouteNet {
     }
 
     /// [`RouteNet::predict_batch_compiled`] threading an arena-backed tape
-    /// through the call, mirroring [`RouteNet::predict_compiled_reuse`]: a
-    /// long-lived caller (the serving daemon's batch loop) reuses one
-    /// allocation arena across micro-batches instead of building a fresh
-    /// tape per batch. An empty slice is a no-op returning the arena.
+    /// through the call: the tape is reset (recycling its value buffers)
+    /// before the forward pass and returned afterwards, so a long-lived
+    /// caller (an eval sweep, the serving daemon's batch loop) reuses one
+    /// allocation arena instead of building a fresh tape per call. An empty
+    /// slice is a no-op returning the arena.
     pub fn predict_batch_compiled_reuse(
         &self,
         compiled: &[&CompiledScenario],
@@ -522,9 +466,9 @@ impl KpiPredictor for RouteNet {
             // lint: allow(panic, reason = "cached is installed on miss just above")
             let index = &cached.as_ref().expect("index cached").1;
             let compiled = self.compile_with_index(sc, index.clone());
-            let (preds, returned) = self.predict_compiled_reuse(&compiled, arena);
+            let (mut preds, returned) = self.predict_batch_compiled_reuse(&[&compiled], arena);
             arena = returned;
-            out.push(preds);
+            out.push(preds.remove(0));
         }
         out
     }
@@ -582,9 +526,9 @@ mod tests {
     fn forward_shape_and_finiteness() {
         let model = tiny_model(tiny_config());
         let sc = scenario();
-        let compiled = model.compile(&sc);
+        let batch = BatchedScenario::pack(&[&model.compile(&sc)]);
         let mut sess = Session::new(model.store());
-        let out = model.forward(&mut sess, &compiled);
+        let out = model.forward_batch(&mut sess, &batch);
         let v = sess.tape.value(out);
         assert_eq!(v.shape(), (14 * 13, 2));
         assert!(v.all_finite());
@@ -659,13 +603,13 @@ mod tests {
     fn gradients_reach_all_parameters() {
         let model = tiny_model(tiny_config());
         let sc = scenario();
-        let compiled = model.compile(&sc);
+        let batch = BatchedScenario::pack(&[&model.compile(&sc)]);
         let mut sess = Session::new(model.store());
-        let out = model.forward(&mut sess, &compiled);
+        let out = model.forward_batch(&mut sess, &batch);
         let target = Tensor::zeros(14 * 13, 2);
         let loss = sess.tape.mse(out, &target);
         let grads = sess.tape.backward(loss);
-        let pg = sess.param_grads(&grads);
+        let pg = sess.param_grads_seg(&grads, 1).remove(0);
         // 9 (path gru) + 9 (link gru) + 6 (3-layer readout) = 24 tensors
         assert_eq!(pg.len(), model.store().len());
         for (id, g) in &pg {

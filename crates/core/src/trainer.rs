@@ -34,7 +34,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use routenet_faults::FsHandle;
 use routenet_nn::optim::{clip_global_norm, Adam};
-use routenet_nn::{GradAccumulator, Session, Tape, Tensor};
+use routenet_nn::{GradAccumulator, Session, Tape, Tensor, Var};
 use routenet_obs::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -68,21 +68,12 @@ pub struct TrainConfig {
     /// (validation loss, or training loss without a validation set).
     /// `None` disables.
     pub patience: Option<usize>,
-    /// Worker threads for within-batch data parallelism (each sample's
-    /// forward/backward is independent; gradients are reduced in sample
-    /// order, so results are bit-identical for any thread count).
-    /// 0 = use all available cores; 1 = sequential.
+    /// Worker threads for within-batch data parallelism: each worker packs
+    /// its share of a minibatch into one [`BatchedScenario`] and runs a
+    /// single forward/backward over it. Per-sample gradients are reduced in
+    /// sample order, so results are bit-identical for any thread count.
+    /// 0 = use all available cores; 1 = one worker.
     pub threads: usize,
-    /// Pack each worker's share of a minibatch into one
-    /// [`BatchedScenario`] and run a single forward/backward over the
-    /// packed tape (true, the default) instead of one tape per sample
-    /// (false). A pure execution-strategy knob: per-sample losses and
-    /// gradients recovered from the packed tape are bitwise identical to
-    /// the per-sample path, so the numeric trajectory — and resumability
-    /// of old checkpoints — is unaffected. Like `threads`, it may differ
-    /// between a checkpoint and the resuming run.
-    #[serde(default = "default_batched")]
-    pub batched: bool,
     /// Minibatch shuffling seed.
     pub shuffle_seed: u64,
     /// Restore the parameters of the best validation epoch at the end.
@@ -125,13 +116,6 @@ pub struct TrainConfig {
     pub fs: FsHandle,
 }
 
-/// Serde default for [`TrainConfig::batched`]: checkpoints written before
-/// the field existed resume onto the batched path (safe because both paths
-/// are bit-identical).
-fn default_batched() -> bool {
-    true
-}
-
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
@@ -145,7 +129,6 @@ impl Default for TrainConfig {
             log_targets: true,
             patience: None,
             threads: 0,
-            batched: default_batched(),
             shuffle_seed: 7,
             keep_best: true,
             verbose: false,
@@ -377,78 +360,6 @@ fn compile_items(
         .collect()
 }
 
-/// Forward/backward for one item. A non-finite loss or gradient is returned
-/// as-is (the tape tracks poisoning instead of asserting); the epoch loop
-/// treats it as divergence and rolls back to the last good state.
-fn item_loss(model: &RouteNet, item: &Item) -> (f64, Vec<(routenet_nn::ParamId, Tensor)>) {
-    let mut sess = Session::new(model.store());
-    let out = model.forward(&mut sess, &item.compiled);
-    let weighted = sess.tape.mul_const(out, &item.col_weights);
-    let loss = sess.tape.mse(weighted, &item.target);
-    let loss_val = sess.tape.value(loss).get(0, 0);
-    let grads = sess.tape.backward(loss);
-    let pg = sess.param_grads(&grads);
-    (loss_val, pg)
-}
-
-fn item_loss_value(model: &RouteNet, item: &Item) -> f64 {
-    let mut sess = Session::new(model.store());
-    let out = model.forward(&mut sess, &item.compiled);
-    let weighted = sess.tape.mul_const(out, &item.col_weights);
-    let loss = sess.tape.mse(weighted, &item.target);
-    sess.tape.value(loss).get(0, 0)
-}
-
-/// Per-sample losses and gradients for `chunk`, computed on up to `threads`
-/// workers. Results are returned in `chunk` order, so the downstream
-/// reduction is deterministic regardless of scheduling.
-#[allow(clippy::type_complexity)]
-fn batch_losses(
-    model: &RouteNet,
-    items: &[Item],
-    chunk: &[usize],
-    threads: usize,
-) -> Vec<(f64, Vec<(routenet_nn::ParamId, Tensor)>)> {
-    let workers = resolve_threads(threads).min(chunk.len());
-    if workers <= 1 {
-        // lint: allow(panic, reason = "chunk indices are minted from 0..items.len() by the batch scheduler")
-        return chunk.iter().map(|&i| item_loss(model, &items[i])).collect();
-    }
-    // Blessed indexed write-slot pattern (DESIGN.md "Parallelism safety
-    // contract"): worker `w` takes the strided indices w, w+workers, ... —
-    // a deterministic assignment — computes into a worker-local Vec, and
-    // returns it through its join handle. The sequential interleave below
-    // restores `chunk` order, so the reduction never depends on scheduling.
-    let parts: Vec<Vec<(f64, Vec<(routenet_nn::ParamId, Tensor)>)>> =
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles.push(scope.spawn(move |_| {
-                    // lint: allow(hot-loop-alloc, reason = "one result Vec per worker thread, not per item")
-                    let mut part = Vec::with_capacity(chunk.len().div_ceil(workers));
-                    let mut k = w;
-                    while k < chunk.len() {
-                        // lint: allow(panic, reason = "k < chunk.len() checked by the stride loop; chunk indices minted from 0..items.len()")
-                        part.push(item_loss(model, &items[chunk[k]]));
-                        k += workers;
-                    }
-                    part
-                }));
-            }
-            handles
-                .into_iter()
-                // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
-                .map(|h| h.join().expect("training workers do not panic"))
-                .collect()
-        })
-        .expect("training scope joins cleanly"); // lint: allow(panic, reason = "worker panics are programming errors; propagating them is the intent")
-    let mut iters: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-    (0..chunk.len())
-        // lint: allow(panic, reason = "worker w holds exactly the indices k with k % workers == w, so each next() yields")
-        .map(|k| iters[k % workers].next().expect("stride invariant"))
-        .collect()
-}
-
 /// One sample's loss value and parameter gradients.
 type SampleGrad = (f64, Vec<(routenet_nn::ParamId, Tensor)>);
 
@@ -486,16 +397,15 @@ fn stack_loss_tensors(items: &[Item], sub: &[usize]) -> (Arc<Tensor>, Tensor) {
     )
 }
 
-/// One packed forward/backward over the items selected by `sub`, on an
-/// arena-reused tape. Returns per-sample `(loss, grads)` in `sub` order —
-/// each entry bitwise identical to what [`item_loss`] computes for that
-/// item on its own tape — plus the tape for the next pass.
-fn batched_sub_losses(
-    model: &RouteNet,
+/// Record one packed forward pass and the per-sample weighted MSE over the
+/// items selected by `sub` on an arena-reused tape. Returns the session,
+/// the `sub.len() x 1` loss node, and its values in `sub` order.
+fn record_sub_losses<'m>(
+    model: &'m RouteNet,
     items: &[Item],
     sub: &[usize],
     arena: Tape,
-) -> (Vec<SampleGrad>, Tape) {
+) -> (Session<'m>, Var, Vec<f64>) {
     // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
     let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
     let batch = BatchedScenario::pack(&compiled);
@@ -504,42 +414,35 @@ fn batched_sub_losses(
     let out = model.forward_batch(&mut sess, &batch);
     let weighted = sess.tape.mul_const_shared(out, &weights);
     let seg_loss = sess.tape.seg_mse(weighted, &targets, batch.path_seg());
-    let total = sess.tape.sum_all(seg_loss);
     let losses: Vec<f64> = (0..sub.len())
         .map(|s| sess.tape.value(seg_loss).get(s, 0))
         .collect();
+    (sess, seg_loss, losses)
+}
+
+/// One packed forward/backward over the items selected by `sub`. Returns
+/// per-sample `(loss, grads)` in `sub` order — each entry bitwise what
+/// that item produces as a batch of one — plus the tape for the next pass.
+/// A non-finite loss or gradient is returned as-is (the tape tracks
+/// poisoning instead of asserting); the epoch loop treats it as divergence
+/// and rolls back to the last good state.
+fn sub_batch_losses(
+    model: &RouteNet,
+    items: &[Item],
+    sub: &[usize],
+    arena: Tape,
+) -> (Vec<SampleGrad>, Tape) {
+    let (mut sess, seg_loss, losses) = record_sub_losses(model, items, sub, arena);
+    let total = sess.tape.sum_all(seg_loss);
     let grads = sess.tape.backward(total);
     let per_sample = sess.param_grads_seg(&grads, sub.len());
     let out: Vec<SampleGrad> = losses.into_iter().zip(per_sample).collect();
     (out, sess.into_tape())
 }
 
-/// Forward-only variant of [`batched_sub_losses`] for validation scoring:
-/// per-sample loss values in `sub` order, no gradients, no backward pass.
-fn batched_sub_loss_values(
-    model: &RouteNet,
-    items: &[Item],
-    sub: &[usize],
-    arena: Tape,
-) -> (Vec<f64>, Tape) {
-    // lint: allow(panic, reason = "sub indices are minted from 0..items.len() by the batch scheduler")
-    let compiled: Vec<&CompiledScenario> = sub.iter().map(|&i| &items[i].compiled).collect();
-    let batch = BatchedScenario::pack(&compiled);
-    let (weights, targets) = stack_loss_tensors(items, sub);
-    let mut sess = Session::with_tape(model.store(), arena);
-    let out = model.forward_batch(&mut sess, &batch);
-    let weighted = sess.tape.mul_const_shared(out, &weights);
-    let seg_loss = sess.tape.seg_mse(weighted, &targets, batch.path_seg());
-    let losses: Vec<f64> = (0..sub.len())
-        .map(|s| sess.tape.value(seg_loss).get(s, 0))
-        .collect();
-    (losses, sess.into_tape())
-}
-
 /// Per-item loss values for all of `items` in index order, computed in
-/// packed chunks of `batch_size` on one arena-reused tape. Each value is
-/// bitwise identical to [`item_loss_value`] for that item.
-fn batched_loss_values(
+/// packed chunks of `batch_size` on one arena-reused tape (forward only).
+fn loss_values(
     model: &RouteNet,
     items: &[Item],
     batch_size: usize,
@@ -549,20 +452,19 @@ fn batched_loss_values(
     let mut out = Vec::with_capacity(items.len());
     let mut arena = arena;
     for sub in idx.chunks(batch_size.max(1)) {
-        let (losses, returned) = batched_sub_loss_values(model, items, sub, arena);
-        arena = returned;
+        let (sess, _, losses) = record_sub_losses(model, items, sub, arena);
+        arena = sess.into_tape();
         out.extend_from_slice(&losses);
     }
     (out, arena)
 }
 
-/// Batched counterpart of [`batch_losses`]: worker `w` packs its strided
-/// share of `chunk` (indices w, w+workers, ...) into one
-/// [`BatchedScenario`] and runs a single forward/backward over it on its
-/// own arena tape. The sequential interleave restores `chunk` order, so
-/// the downstream reduction is byte-identical to the per-sample path at
-/// any thread count.
-fn batch_losses_batched(
+/// Per-sample losses and gradients for `chunk`, in `chunk` order: worker
+/// `w` packs its strided share of `chunk` (indices w, w+workers, ...) into
+/// one [`BatchedScenario`] and runs a single forward/backward over it on
+/// its own arena tape. The sequential interleave restores `chunk` order,
+/// so the downstream reduction is byte-identical at any thread count.
+fn batch_losses(
     model: &RouteNet,
     items: &[Item],
     chunk: &[usize],
@@ -573,7 +475,7 @@ fn batch_losses_batched(
     if workers <= 1 {
         // lint: allow(panic, reason = "train_with_control sizes arenas to at least one slot")
         let arena = std::mem::take(&mut arenas[0]);
-        let (out, returned) = batched_sub_losses(model, items, chunk, arena);
+        let (out, returned) = sub_batch_losses(model, items, chunk, arena);
         arenas[0] = returned; // lint: allow(panic, reason = "train_with_control sizes arenas to at least one slot")
         return out;
     }
@@ -586,7 +488,7 @@ fn batch_losses_batched(
             let arena = std::mem::take(slot);
             handles.push(scope.spawn(move |_| {
                 let sub: Vec<usize> = chunk.iter().copied().skip(w).step_by(workers).collect();
-                batched_sub_losses(model, items, &sub, arena)
+                sub_batch_losses(model, items, &sub, arena)
             }));
         }
         handles
@@ -776,7 +678,7 @@ pub fn train_with_control(
     if cfg.telemetry.enabled() {
         if let Some(item) = train_items.first() {
             let mut sess = Session::new(model.store());
-            let _probe = model.forward(&mut sess, &item.compiled);
+            let _probe = model.forward_batch(&mut sess, &BatchedScenario::pack(&[&item.compiled]));
             cfg.telemetry
                 .gauge_set("train.tape_nodes_per_sample", sess.tape.len() as f64);
             cfg.telemetry.gauge_set(
@@ -805,23 +707,14 @@ pub fn train_with_control(
     // the training set at the initial parameters.
     let mut spike_ref: Option<f64> = state.epochs.last().map(|e| e.train_loss);
     if spike_ref.is_none() && cfg.max_spike_factor.is_some() {
-        let base = if cfg.batched {
-            let (losses, returned) = batched_loss_values(
-                model,
-                &train_items,
-                cfg.batch_size,
-                std::mem::take(&mut eval_arena),
-            );
-            eval_arena = returned;
-            losses.iter().sum::<f64>() / train_items.len() as f64
-        } else {
-            train_items
-                .iter()
-                .map(|it| item_loss_value(model, it))
-                .sum::<f64>()
-                / train_items.len() as f64
-        };
-        spike_ref = Some(base);
+        let (losses, returned) = loss_values(
+            model,
+            &train_items,
+            cfg.batch_size,
+            std::mem::take(&mut eval_arena),
+        );
+        eval_arena = returned;
+        spike_ref = Some(losses.iter().sum::<f64>() / train_items.len() as f64);
     }
 
     let mut order: Vec<usize> = (0..train_items.len()).collect();
@@ -845,12 +738,7 @@ pub fn train_with_control(
             }
             let mut acc = GradAccumulator::new(model.store());
             let mut batch_loss = 0.0;
-            let sample_grads = if cfg.batched {
-                batch_losses_batched(model, &train_items, chunk, cfg.threads, &mut arenas)
-            } else {
-                batch_losses(model, &train_items, chunk, cfg.threads)
-            };
-            for (l, pg) in sample_grads {
+            for (l, pg) in batch_losses(model, &train_items, chunk, cfg.threads, &mut arenas) {
                 batch_loss += l;
                 acc.add(&pg);
             }
@@ -881,8 +769,8 @@ pub fn train_with_control(
         }
         let val_loss = if diverged.is_some() || val_items.is_empty() {
             None
-        } else if cfg.batched {
-            let (losses, returned) = batched_loss_values(
+        } else {
+            let (losses, returned) = loss_values(
                 model,
                 &val_items,
                 cfg.batch_size,
@@ -890,14 +778,6 @@ pub fn train_with_control(
             );
             eval_arena = returned;
             Some(losses.iter().sum::<f64>() / val_items.len() as f64)
-        } else {
-            Some(
-                val_items
-                    .iter()
-                    .map(|it| item_loss_value(model, it))
-                    .sum::<f64>()
-                    / val_items.len() as f64,
-            )
         };
         if diverged.is_none() {
             if let Some(v) = val_loss {
@@ -1200,11 +1080,8 @@ mod tests {
         let report = train(&mut model, &data[..6], &data[6..], &cfg).unwrap();
         // The restored parameters must reproduce the best validation loss.
         let items = compile_items(&model, &data[6..], cfg.jitter_weight, cfg.drop_weight);
-        let val: f64 = items
-            .iter()
-            .map(|it| item_loss_value(&model, it))
-            .sum::<f64>()
-            / items.len() as f64;
+        let (losses, _) = loss_values(&model, &items, cfg.batch_size, Tape::new());
+        let val = losses.iter().sum::<f64>() / items.len() as f64;
         assert!(
             (val - report.best_loss).abs() < 1e-9,
             "restored val {val} != best {}",
@@ -1252,48 +1129,6 @@ mod tests {
         let seq = train_once(1);
         let par = train_once(4);
         assert_eq!(seq, par, "thread count changed the training result");
-    }
-
-    #[test]
-    fn train_config_batched_defaults_on_for_old_checkpoints() {
-        // Checkpoints written before the field existed must deserialize
-        // onto the batched path (both paths are bit-identical anyway).
-        let json = serde_json::to_string(&TrainConfig::default()).unwrap();
-        let stripped = json.replace("\"batched\":true,", "");
-        assert_ne!(json, stripped, "expected a batched field to strip");
-        let cfg: TrainConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(cfg.batched);
-    }
-
-    #[test]
-    fn batched_training_is_bit_identical_to_per_sample() {
-        let data = mm1_dataset(10, 17);
-        let train_once = |batched: bool, threads: usize| {
-            let mut model = tiny_model();
-            let cfg = TrainConfig {
-                epochs: 3,
-                batch_size: 5,
-                threads,
-                batched,
-                keep_best: false,
-                ..TrainConfig::default()
-            };
-            let report = train(&mut model, &data[..8], &data[8..], &cfg).unwrap();
-            (model.store().clone(), report.epochs)
-        };
-        let (seq_params, seq_curve) = train_once(false, 1);
-        let (bat_params, bat_curve) = train_once(true, 1);
-        assert_eq!(seq_params, bat_params, "batched mode changed the params");
-        assert_eq!(seq_curve, bat_curve, "batched mode changed the loss curve");
-        let (par_params, par_curve) = train_once(true, 4);
-        assert_eq!(
-            seq_params, par_params,
-            "threaded batched mode changed the params"
-        );
-        assert_eq!(
-            seq_curve, par_curve,
-            "threaded batched mode changed the loss curve"
-        );
     }
 
     #[test]
@@ -1534,12 +1369,15 @@ mod tests {
     }
 
     #[test]
-    fn resume_across_execution_modes_is_bit_identical() {
+    fn checkpoint_with_retired_batched_key_resumes_bit_identically() {
+        // Checkpoints written while the trainer still had a `batched`
+        // execution-mode switch carry that key in their train_config.
+        // Unknown keys are ignored on load, so such a checkpoint must
+        // resume exactly like one written today.
         let data = mm1_dataset(10, 15);
         let (train_set, val_set) = data.split_at(8);
-        let path = tmp_path("resume_xmode");
+        let path = tmp_path("retired_key");
 
-        // Uninterrupted reference: 4 epochs on the (default) batched path.
         let mut full = tiny_model();
         let cfg4 = TrainConfig {
             epochs: 4,
@@ -1549,23 +1387,28 @@ mod tests {
         };
         let full_report = train(&mut full, train_set, val_set, &cfg4).unwrap();
 
-        // Checkpoint written by the sequential per-sample path...
         let mut half = tiny_model();
-        let cfg_seq = TrainConfig {
+        let cfg2 = TrainConfig {
             epochs: 2,
-            batched: false,
             checkpoint_path: Some(path.to_string_lossy().into_owned()),
             ..cfg4.clone()
         };
-        train(&mut half, train_set, val_set, &cfg_seq).unwrap();
+        train(&mut half, train_set, val_set, &cfg2).unwrap();
+        // Rewrite the checkpoint in the old layout: `"batched":false` sat
+        // between `threads` and `shuffle_seed`.
+        let payload =
+            String::from_utf8(crate::checkpoint::read_checksummed(&path).unwrap()).unwrap();
+        let old_layout = payload.replacen(
+            "\"shuffle_seed\":",
+            "\"batched\":false,\"shuffle_seed\":",
+            1,
+        );
+        assert_ne!(old_layout, payload, "expected a train_config to rewrite");
+        crate::checkpoint::write_checksummed(&path, old_layout.as_bytes()).unwrap();
 
-        // ...resumes under the batched kernel: execution strategy is not
-        // part of the resume-compat contract, and because the two paths are
-        // bit-identical the crossover leaves no trace in the result.
         let mut resumed = tiny_model();
         let cfg_resume = TrainConfig {
             epochs: 4,
-            batched: true,
             resume_from: Some(path.to_string_lossy().into_owned()),
             checkpoint_path: None,
             ..cfg4.clone()

@@ -1,14 +1,17 @@
-//! Property test of the batched CSR kernel's core contract: packing any
-//! mix of scenarios into one [`BatchedScenario`] and running a single
-//! forward/backward is **bitwise identical** to running each sample on its
-//! own tape — output rows, per-sample losses, and per-sample parameter
-//! gradients. This is what lets the trainer switch execution strategies
-//! (sequential, batched, any thread count) without perturbing a single bit
-//! of the training curve.
+//! Property test of the batched CSR kernel's core contract: a sample's
+//! results do not depend on what else is packed with it. Packing any mix
+//! of scenarios into one [`BatchedScenario`], in any order, and running a
+//! single forward/backward is **bitwise identical** to running each
+//! scenario through [`RouteNet::forward_batch`] as a batch of one — output
+//! rows, per-sample losses, and per-sample parameter gradients. This is
+//! what lets the trainer split a minibatch across any number of workers,
+//! and the serving daemon micro-batch concurrent queries, without
+//! perturbing a single bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use routenet_core::model::CompiledScenario;
 use routenet_core::prelude::*;
 use routenet_netgraph::routing::shortest_path_routing;
 use routenet_netgraph::TrafficMatrix;
@@ -56,11 +59,50 @@ fn targets(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
+/// One sample's forward rows, loss, and parameter gradients.
+type SampleResult = (Tensor, f64, Vec<(ParamId, Tensor)>);
+
+/// Pack `order`'s scenarios into one batch, run one forward/backward with a
+/// per-sample MSE, and return each sample's results in `order` order.
+fn run_packed(
+    m: &RouteNet,
+    compiled: &[CompiledScenario],
+    tgts: &[Tensor],
+    order: &[usize],
+) -> Vec<SampleResult> {
+    let refs: Vec<&CompiledScenario> = order.iter().map(|&i| &compiled[i]).collect();
+    let batch = BatchedScenario::pack(&refs);
+    let mut tdata = Vec::new();
+    for &i in order {
+        tdata.extend_from_slice(tgts[i].data());
+    }
+    let target = Tensor::from_vec(batch.path_seg().total(), m.out_dim(), tdata);
+    let mut sess = Session::new(m.store());
+    let out = m.forward_batch(&mut sess, &batch);
+    let seg_loss = sess.tape.seg_mse(out, &target, batch.path_seg());
+    let total = sess.tape.sum_all(seg_loss);
+    let grads = sess.tape.backward(total);
+    let per_sample = sess.param_grads_seg(&grads, order.len());
+    per_sample
+        .into_iter()
+        .enumerate()
+        .map(|(s, g)| {
+            let (lo, hi) = batch.sample_path_range(s);
+            let rows = sess.tape.value(out).rows_copy(lo, hi);
+            (rows, sess.tape.value(seg_loss).get(s, 0), g)
+        })
+        .collect()
+}
+
+fn bits(t: &Tensor) -> Vec<u64> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn batched_pass_is_bitwise_identical_to_per_sample(
+    fn packed_pass_is_bitwise_identical_to_batch_of_one(
         seed in 0u64..500,
         n_scenarios in 2usize..5,
     ) {
@@ -79,67 +121,26 @@ proptest! {
             .map(|(i, sc)| targets(sc.n_pairs(), m.out_dim(), seed.wrapping_add(1000 + i as u64)))
             .collect();
 
-        // Per-sample reference: each scenario on its own fresh tape,
-        // exactly what the sequential trainer path computes.
-        let mut ref_rows: Vec<Tensor> = Vec::new();
-        let mut ref_losses: Vec<f64> = Vec::new();
-        let mut ref_grads: Vec<Vec<(ParamId, Tensor)>> = Vec::new();
-        for (c, t) in compiled.iter().zip(&tgts) {
-            let mut sess = Session::new(m.store());
-            let out = m.forward(&mut sess, c);
-            let loss = sess.tape.mse(out, t);
-            ref_rows.push(sess.tape.value(out).clone());
-            ref_losses.push(sess.tape.value(loss).get(0, 0));
-            let grads = sess.tape.backward(loss);
-            ref_grads.push(sess.param_grads(&grads));
-        }
+        // Reference: each scenario alone, as a batch of one.
+        let reference: Vec<SampleResult> = (0..n_scenarios)
+            .map(|i| run_packed(&m, &compiled, &tgts, &[i]).remove(0))
+            .collect();
 
-        // Batched: one packed CSR pass over all scenarios at once.
-        let refs: Vec<&_> = compiled.iter().collect();
-        let batch = BatchedScenario::pack(&refs);
-        let mut tdata = Vec::new();
-        for t in &tgts {
-            tdata.extend_from_slice(t.data());
-        }
-        let target = Tensor::from_vec(batch.path_seg().total(), m.out_dim(), tdata);
-        let mut sess = Session::new(m.store());
-        let out = m.forward_batch(&mut sess, &batch);
-        let seg_loss = sess.tape.seg_mse(out, &target, batch.path_seg());
-        let total = sess.tape.sum_all(seg_loss);
-        let out_rows = sess.tape.value(out).clone();
-        let seg_loss_vals = sess.tape.value(seg_loss).clone();
-        let grads = sess.tape.backward(total);
-        let per_sample = sess.param_grads_seg(&grads, compiled.len());
-
-        // Forward rows: each sample's block equals its solo forward, bitwise.
-        for (s, r) in ref_rows.iter().enumerate() {
-            let (lo, hi) = batch.sample_path_range(s);
-            prop_assert_eq!(hi - lo, r.rows());
-            for (row_b, row_r) in (lo..hi).zip(0..r.rows()) {
-                for col in 0..r.cols() {
-                    prop_assert!(
-                        out_rows.get(row_b, col).to_bits() == r.get(row_r, col).to_bits(),
-                        "forward row {row_r} col {col} of sample {s} diverged"
-                    );
+        // Packed in input order and in reverse order: same bits per sample.
+        let forward: Vec<usize> = (0..n_scenarios).collect();
+        let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [forward, reverse] {
+            let packed = run_packed(&m, &compiled, &tgts, &order);
+            for (&i, (rows, loss, grads)) in order.iter().zip(&packed) {
+                let (ref_rows, ref_loss, ref_grads) = &reference[i];
+                prop_assert_eq!(rows.shape(), ref_rows.shape());
+                prop_assert!(bits(rows) == bits(ref_rows), "forward rows of sample {i} diverged");
+                prop_assert!(loss.to_bits() == ref_loss.to_bits(), "loss of sample {i} diverged");
+                prop_assert_eq!(grads.len(), ref_grads.len());
+                for ((pid_b, tb), (pid_r, tr)) in grads.iter().zip(ref_grads) {
+                    prop_assert_eq!(pid_b, pid_r);
+                    prop_assert!(bits(tb) == bits(tr), "gradient for sample {i} param {pid_b:?} diverged");
                 }
-            }
-        }
-        // Per-sample losses from the segmented MSE, bitwise.
-        for (s, &l) in ref_losses.iter().enumerate() {
-            prop_assert_eq!(seg_loss_vals.get(s, 0).to_bits(), l.to_bits());
-        }
-        // Per-sample parameter gradients, bitwise.
-        for (s, rg) in ref_grads.iter().enumerate() {
-            let bg = &per_sample[s];
-            prop_assert_eq!(bg.len(), rg.len());
-            for ((pid_b, tb), (pid_r, tr)) in bg.iter().zip(rg) {
-                prop_assert_eq!(pid_b, pid_r);
-                let bitwise = tb
-                    .data()
-                    .iter()
-                    .zip(tr.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                prop_assert!(bitwise, "gradient for sample {s} param {pid_b:?} diverged");
             }
         }
     }

@@ -60,21 +60,13 @@ impl Dense {
         }
     }
 
-    /// Forward pass for a `batch x in_dim` input.
-    pub fn forward(&self, sess: &mut Session, x: Var) -> Var {
-        debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "Dense input width");
-        let w = sess.param(self.w);
-        let b = sess.param(self.b);
-        let xw = sess.tape.matmul(x, w);
-        let z = sess.tape.add_row(xw, b);
-        apply(sess, self.act, z)
-    }
-
-    /// Segment-aware forward: same op sequence (and bitwise the same values)
-    /// as [`Dense::forward`], but weight/bias gradients accumulate into
-    /// per-segment slots so each sample in a concatenated batch gets exactly
-    /// the gradient a per-sample tape would produce.
-    pub fn forward_seg(&self, sess: &mut Session, x: Var, seg: &SegmentPlan) -> Var {
+    /// Forward pass for a `rows x in_dim` input whose rows are the
+    /// concatenated row blocks of the samples in `seg`. Weight and bias
+    /// gradients accumulate into per-segment slots (read them back with
+    /// [`Session::param_grads_seg`]), so each sample gets exactly the
+    /// gradient it would get on a tape of its own. A single sample is the
+    /// one-segment plan [`SegmentPlan::singleton`].
+    pub fn forward(&self, sess: &mut Session, x: Var, seg: &SegmentPlan) -> Var {
         debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "Dense input width");
         let w = sess.param(self.w);
         let b = sess.param(self.b);
@@ -131,18 +123,10 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, sess: &mut Session, mut x: Var) -> Var {
+    /// Forward pass over the segments of `seg` (see [`Dense::forward`]).
+    pub fn forward(&self, sess: &mut Session, mut x: Var, seg: &SegmentPlan) -> Var {
         for l in &self.layers {
-            x = l.forward(sess, x);
-        }
-        x
-    }
-
-    /// Segment-aware forward (see [`Dense::forward_seg`]).
-    pub fn forward_seg(&self, sess: &mut Session, mut x: Var, seg: &SegmentPlan) -> Var {
-        for l in &self.layers {
-            x = l.forward_seg(sess, x, seg);
+            x = l.forward(sess, x, seg);
         }
         x
     }
@@ -220,58 +204,11 @@ impl GruCell {
         }
     }
 
-    /// One step for a batch: `x` is `B x in_dim`, `h` is `B x hid_dim`;
-    /// returns the new `B x hid_dim` hidden state.
-    pub fn step(&self, sess: &mut Session, x: Var, h: Var) -> Var {
-        debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "GRU input width");
-        debug_assert_eq!(sess.tape.value(h).cols(), self.hid_dim, "GRU hidden width");
-        let (wz, uz, bz) = (
-            sess.param(self.wz),
-            sess.param(self.uz),
-            sess.param(self.bz),
-        );
-        let (wr, ur, br) = (
-            sess.param(self.wr),
-            sess.param(self.ur),
-            sess.param(self.br),
-        );
-        let (wh, uh, bh) = (
-            sess.param(self.wh),
-            sess.param(self.uh),
-            sess.param(self.bh),
-        );
-
-        let t = &mut sess.tape;
-        let xwz = t.matmul(x, wz);
-        let huz = t.matmul(h, uz);
-        let zs = t.add(xwz, huz);
-        let zs = t.add_row(zs, bz);
-        let z = t.sigmoid(zs);
-
-        let xwr = t.matmul(x, wr);
-        let hur = t.matmul(h, ur);
-        let rs = t.add(xwr, hur);
-        let rs = t.add_row(rs, br);
-        let r = t.sigmoid(rs);
-
-        let rh = t.mul(r, h);
-        let xwh = t.matmul(x, wh);
-        let rhuh = t.matmul(rh, uh);
-        let cs = t.add(xwh, rhuh);
-        let cs = t.add_row(cs, bh);
-        let c = t.tanh(cs);
-
-        let zi = t.one_minus(z);
-        let keep = t.mul(zi, h);
-        let take = t.mul(z, c);
-        t.add(keep, take)
-    }
-
-    /// Segment-aware step: same op sequence (and bitwise the same values)
-    /// as [`GruCell::step`], with all six weight matmuls and three bias adds
-    /// recorded as segment ops so per-sample gradients stay separable in a
-    /// concatenated batch.
-    pub fn step_seg(&self, sess: &mut Session, x: Var, h: Var, seg: &SegmentPlan) -> Var {
+    /// One step over the samples of `seg`: `x` is `rows x in_dim`, `h` is
+    /// `rows x hid_dim`; returns the new `rows x hid_dim` hidden state. All
+    /// six weight matmuls and three bias adds are segment ops, so
+    /// per-sample gradients stay separable in a concatenated batch.
+    pub fn step(&self, sess: &mut Session, x: Var, h: Var, seg: &SegmentPlan) -> Var {
         debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "GRU input width");
         debug_assert_eq!(sess.tape.value(h).cols(), self.hid_dim, "GRU hidden width");
         let (wz, uz, bz) = (
@@ -341,7 +278,7 @@ mod tests {
         assert_eq!((d.in_dim(), d.out_dim()), (3, 2));
         let mut sess = Session::new(&store);
         let x = sess.input(Tensor::zeros(4, 3));
-        let y = d.forward(&mut sess, x);
+        let y = d.forward(&mut sess, x, &SegmentPlan::singleton(4));
         // Zero input + zero bias => zero output for linear layer.
         assert_eq!(sess.tape.value(y).shape(), (4, 2));
         assert!(sess.tape.value(y).data().iter().all(|&v| v == 0.0));
@@ -354,7 +291,7 @@ mod tests {
         let d = Dense::new(&mut store, "d", 2, 2, Activation::Relu, &mut rng);
         let mut sess = Session::new(&store);
         let x = sess.input(Tensor::from_vec(1, 2, vec![5.0, -5.0]));
-        let y = d.forward(&mut sess, x);
+        let y = d.forward(&mut sess, x, &SegmentPlan::singleton(1));
         assert!(sess.tape.value(y).data().iter().all(|&v| v >= 0.0));
     }
 
@@ -376,7 +313,7 @@ mod tests {
         assert_eq!(store.len(), 6);
         let mut sess = Session::new(&store);
         let x = sess.input(Tensor::full(5, 4, 0.1));
-        let y = mlp.forward(&mut sess, x);
+        let y = mlp.forward(&mut sess, x, &SegmentPlan::singleton(5));
         assert_eq!(sess.tape.value(y).shape(), (5, 2));
         assert!(sess.tape.value(y).all_finite());
     }
@@ -392,8 +329,9 @@ mod tests {
         let mut sess = Session::new(&store);
         let x = sess.input(Tensor::full(2, 3, 10.0)); // large inputs
         let mut h = sess.input(Tensor::zeros(2, 5));
+        let seg = SegmentPlan::singleton(2);
         for _ in 0..10 {
-            h = gru.step(&mut sess, x, h);
+            h = gru.step(&mut sess, x, h, &seg);
         }
         assert!(sess.tape.value(h).max_abs() <= 1.0 + 1e-12);
     }
@@ -411,58 +349,9 @@ mod tests {
         let x = sess.input(Tensor::full(1, 2, 0.3));
         let h0t = Tensor::from_vec(1, 3, vec![0.5, -0.2, 0.9]);
         let h0 = sess.input(h0t.clone());
-        let h1 = gru.step(&mut sess, x, h0);
+        let h1 = gru.step(&mut sess, x, h0, &SegmentPlan::singleton(1));
         for (a, b) in sess.tape.value(h1).data().iter().zip(h0t.data()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn seg_variants_match_per_sample_forward_and_grads() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let gru = GruCell::new(&mut store, "g", 3, 4, &mut rng);
-        let readout = Dense::new(&mut store, "r", 4, 2, Activation::Tanh, &mut rng);
-        let lens = [2usize, 3];
-        let seg = SegmentPlan::from_lens(&lens);
-        let x = Tensor::from_fn(5, 3, |r, c| (r as f64 * 0.3 - c as f64 * 0.7).sin());
-        let h = Tensor::from_fn(5, 4, |r, c| (r as f64 * 0.11 + c as f64 * 0.05).cos());
-
-        // Batched tape over both samples.
-        let mut bs = Session::new(&store);
-        let bx = bs.input(x.clone());
-        let bh = bs.input(h.clone());
-        let bh1 = gru.step_seg(&mut bs, bx, bh, &seg);
-        let by = readout.forward_seg(&mut bs, bh1, &seg);
-        let bl = bs.tape.sum_all(by);
-        let bg = bs.tape.backward(bl);
-        let per_sample = bs.param_grads_seg(&bg, 2);
-
-        // One tape per sample.
-        let mut lo = 0usize;
-        for (s, &n) in lens.iter().enumerate() {
-            let mut ps = Session::new(&store);
-            let px = ps.input(x.rows_copy(lo, lo + n));
-            let ph = ps.input(h.rows_copy(lo, lo + n));
-            let ph1 = gru.step(&mut ps, px, ph);
-            let py = readout.forward(&mut ps, ph1);
-            let pl = ps.tape.sum_all(py);
-            let pg = ps.tape.backward(pl);
-            assert_eq!(
-                &bs.tape.value(by).rows_copy(lo, lo + n),
-                ps.tape.value(py),
-                "sample {s} forward mismatch"
-            );
-            // The per-sample tape uses plain ops throughout — its
-            // param_grads are the reference the batched per-segment slots
-            // must reproduce bitwise.
-            let expect = ps.param_grads(&pg);
-            assert_eq!(per_sample[s].len(), expect.len(), "sample {s} param count");
-            for ((ia, ga), (ib, gb)) in per_sample[s].iter().zip(&expect) {
-                assert_eq!(ia, ib);
-                assert_eq!(ga, gb, "sample {s} grad mismatch for {}", store.name(*ia));
-            }
-            lo += n;
         }
     }
 
@@ -474,11 +363,12 @@ mod tests {
         let mut sess = Session::new(&store);
         let x = sess.input(Tensor::full(4, 2, 0.5));
         let h0 = sess.input(Tensor::full(4, 3, 0.1));
-        let h1 = gru.step(&mut sess, x, h0);
-        let h2 = gru.step(&mut sess, x, h1); // reuse cell: grads must merge
+        let seg = SegmentPlan::singleton(4);
+        let h1 = gru.step(&mut sess, x, h0, &seg);
+        let h2 = gru.step(&mut sess, x, h1, &seg); // reuse cell: grads must merge
         let loss = sess.tape.mean_all(h2);
         let grads = sess.tape.backward(loss);
-        let pg = sess.param_grads(&grads);
+        let pg = sess.param_grads_seg(&grads, 1).remove(0);
         assert_eq!(pg.len(), 9, "all 9 GRU params should receive gradients");
         for (id, g) in &pg {
             assert!(g.norm() > 0.0, "param {} has zero grad", store.name(*id));

@@ -22,19 +22,22 @@
 //!
 //! let x = Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
 //! let y = Tensor::from_vec(4, 1, vec![0., 1., 1., 2.]); // y = x0 + x1
+//! // Layers take a segment plan over their input rows; one sample (here a
+//! // 4-row batch trained as one example) is a single segment.
+//! let seg = SegmentPlan::singleton(4);
 //! for _ in 0..200 {
 //!     let mut sess = Session::new(&store);
 //!     let vx = sess.input(x.clone());
-//!     let pred = layer.forward(&mut sess, vx);
+//!     let pred = layer.forward(&mut sess, vx, &seg);
 //!     let loss = sess.tape.mse(pred, &y);
 //!     let grads = sess.tape.backward(loss);
-//!     let pg = sess.param_grads(&grads);
+//!     let pg = sess.param_grads_seg(&grads, 1).remove(0);
 //!     opt.step(&mut store, &pg);
 //! }
 //! // The layer learned to sum its inputs.
 //! let mut sess = Session::new(&store);
 //! let vx = sess.input(Tensor::from_vec(1, 2, vec![3.0, 4.0]));
-//! let pred = layer.forward(&mut sess, vx);
+//! let pred = layer.forward(&mut sess, vx, &SegmentPlan::singleton(1));
 //! assert!((sess.tape.value(pred).get(0, 0) - 7.0).abs() < 0.2);
 //! ```
 

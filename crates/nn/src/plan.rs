@@ -1,17 +1,19 @@
-//! Precomputed index and segment plans for batched tape ops.
+//! Precomputed index and segment plans for the tape's structural ops.
 //!
-//! A batched forward pass replays the same gather/scatter topology every
-//! epoch, so the row-index arrays are built once at pack time and shared
-//! into each tape node behind an `Arc` — pushing an op onto the tape never
-//! copies an index vector. `SegmentPlan` is the CSR row-pointer half of that
-//! story: it records where each sample's row block starts inside a
-//! concatenated tensor, and segment-aware ops iterate those blocks in sample
-//! order so batched reductions associate exactly like the per-sample path
-//! (see DESIGN.md "Batched execution & memory arenas").
+//! A forward pass replays the same gather/scatter topology every epoch, so
+//! the row-index arrays are built once at pack time and shared into each
+//! tape node behind an `Arc` — pushing an op onto the tape never copies an
+//! index vector. `SegmentPlan` is the CSR row-pointer half of that story: it
+//! records where each sample's row block starts inside a concatenated
+//! tensor, and segment-aware ops iterate those blocks in sample order so a
+//! batch's reductions associate exactly as they would for each sample run
+//! alone. A single sample is the one-segment plan
+//! ([`SegmentPlan::singleton`]); see DESIGN.md "Batched execution & memory
+//! arenas".
 
 use std::sync::Arc;
 
-/// A shared row-index array for `gather_rows_plan` / `scatter_add_rows_plan`.
+/// A shared row-index array for `Tape::gather_rows` / `Tape::scatter_add_rows`.
 ///
 /// Cheap to clone (Arc bump); build once per batch, reuse every epoch.
 #[derive(Debug, Clone)]

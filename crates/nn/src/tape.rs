@@ -5,7 +5,9 @@
 //! The op set is exactly what RouteNet's message passing needs, including
 //! the two structural ops that encode the graph: [`Tape::gather_rows`]
 //! (read link states along each path) and [`Tape::scatter_add_rows`]
-//! (aggregate per-hop messages into per-link inboxes).
+//! (aggregate per-hop messages into per-link inboxes). Both take a shared
+//! [`IndexPlan`] built once per batch, so recording them never copies an
+//! index vector.
 //!
 //! Every op's gradient is validated against central finite differences in
 //! this crate's test suite.
@@ -24,10 +26,12 @@
 //!
 //! The `seg_*` and `segment_*` ops operate on tensors whose rows are the
 //! concatenation of several samples' row blocks (described by a
-//! [`SegmentPlan`]). Their forward values are bitwise identical to the
-//! unsegmented ops; what differs is the backward pass, which keeps
-//! per-segment gradient partials separate so a batched backward associates
-//! floating-point sums exactly like running the samples one at a time.
+//! [`SegmentPlan`]). Their forward values are bitwise identical to the plain
+//! [`Tape::matmul`], [`Tape::add_row`] and [`Tape::mse`]; what differs is
+//! the backward pass, which keeps per-segment gradient partials separate so
+//! a batched backward associates floating-point sums exactly like running
+//! the samples one at a time. The plain ops stay as the op-level oracle for
+//! that property (`seg_ops_match_per_sample_ops_bitwise`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,22 +56,16 @@ enum Op {
     Mul(Var, Var),
     /// `alpha * a + beta` elementwise.
     Affine(Var, f64, f64),
-    /// Elementwise product with a constant tensor (no grad to the constant).
-    MulConst(Var, Tensor),
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
     ConcatCols(Var, Var),
-    /// `out[i, :] = a[idx[i], :]`.
-    GatherRows(Var, Vec<usize>),
-    /// `out[idx[i], :] += a[i, :]`, out has `out_rows` rows.
-    ScatterAddRows(Var, Vec<usize>),
-    /// `gather_rows` with a shared precomputed index plan (no copy per push).
-    GatherRowsP(Var, IndexPlan),
-    /// `scatter_add_rows` with a shared precomputed index plan.
-    ScatterAddRowsP(Var, IndexPlan),
-    /// `mul_const` with a shared constant (no tensor copy per push).
-    MulConstShared(Var, Arc<Tensor>),
+    /// `out[i, :] = a[idx[i], :]` over a shared index plan.
+    GatherRows(Var, IndexPlan),
+    /// `out[idx[i], :] += a[i, :]` over a shared index plan.
+    ScatterAddRows(Var, IndexPlan),
+    /// Elementwise product with a shared constant (no grad to the constant).
+    MulConst(Var, Arc<Tensor>),
     /// Batched matmul against a shared rhs; backward keeps per-segment
     /// weight-gradient partials separate (forward == MatMul bitwise).
     SegMatMul(Var, Var, SegmentPlan),
@@ -325,22 +323,10 @@ impl Tape {
         self.affine(a, -1.0, 1.0)
     }
 
-    /// Elementwise product with a constant (no gradient flows into `c`).
-    pub fn mul_const(&mut self, a: Var, c: &Tensor) -> Var {
-        let (r, cc) = self.value(a).shape();
-        assert_eq!(c.shape(), (r, cc), "mul_const shape mismatch");
-        let mut v = self.alloc_tensor(r, cc);
-        let av = self.value(a);
-        for ((o, &x), &y) in v.data_mut().iter_mut().zip(av.data()).zip(c.data()) {
-            *o = x * y;
-        }
-        self.push(Op::MulConst(a, c.clone()), v)
-    }
-
-    /// `mul_const` against a shared constant: pushing the op bumps an `Arc`
-    /// refcount instead of copying the tensor. Use for masks/weights that
-    /// are applied every pass (e.g. position keep-masks in the batched
-    /// kernel). Gradient behaviour is identical to [`Tape::mul_const`].
+    /// Elementwise product with a constant shared behind an `Arc` (no
+    /// gradient flows into `c`): pushing the op bumps a refcount instead of
+    /// copying the tensor, so masks and loss weights applied every pass
+    /// (position keep-masks, per-column loss weights) cost no copy.
     pub fn mul_const_shared(&mut self, a: Var, c: &Arc<Tensor>) -> Var {
         let (r, cc) = self.value(a).shape();
         assert_eq!(c.shape(), (r, cc), "mul_const_shared shape mismatch");
@@ -349,7 +335,7 @@ impl Tape {
         for ((o, &x), &y) in v.data_mut().iter_mut().zip(av.data()).zip(c.data()) {
             *o = x * y;
         }
-        self.push(Op::MulConstShared(a, Arc::clone(c)), v)
+        self.push(Op::MulConst(a, Arc::clone(c)), v)
     }
 
     /// Logistic sigmoid.
@@ -404,23 +390,10 @@ impl Tape {
         self.push(Op::ConcatCols(a, b), v)
     }
 
-    /// Row gather: `out[i, :] = a[idx[i], :]`. Indices may repeat.
-    pub fn gather_rows(&mut self, a: Var, idx: Vec<usize>) -> Var {
-        let (rows, cols) = self.value(a).shape();
-        for &i in &idx {
-            assert!(i < rows, "gather index {i} out of {rows} rows");
-        }
-        let mut v = self.alloc_tensor(idx.len(), cols);
-        let av = self.value(a);
-        for (r, &i) in idx.iter().enumerate() {
-            v.copy_row_from(r, av, i);
-        }
-        self.push(Op::GatherRows(a, idx), v)
-    }
-
-    /// [`Tape::gather_rows`] with a precomputed shared index plan: pushing
-    /// the op bumps an `Arc` refcount instead of copying the index vector.
-    pub fn gather_rows_plan(&mut self, a: Var, plan: &IndexPlan) -> Var {
+    /// Row gather: `out[i, :] = a[plan[i], :]`. Indices may repeat. The
+    /// plan is shared, so pushing the op bumps an `Arc` refcount instead of
+    /// copying the index vector.
+    pub fn gather_rows(&mut self, a: Var, plan: &IndexPlan) -> Var {
         let (rows, cols) = self.value(a).shape();
         for &i in plan.indices() {
             assert!(i < rows, "gather index {i} out of {rows} rows");
@@ -430,29 +403,12 @@ impl Tape {
         for (r, &i) in plan.indices().iter().enumerate() {
             v.copy_row_from(r, av, i);
         }
-        self.push(Op::GatherRowsP(a, plan.clone()), v)
+        self.push(Op::GatherRows(a, plan.clone()), v)
     }
 
-    /// Row scatter-add: `out[idx[i], :] += a[i, :]` into a fresh
+    /// Row scatter-add: `out[plan[i], :] += a[i, :]` into a fresh
     /// `out_rows x cols` zero tensor. The message-aggregation primitive.
-    pub fn scatter_add_rows(&mut self, a: Var, idx: Vec<usize>, out_rows: usize) -> Var {
-        let (in_rows, cols) = self.value(a).shape();
-        assert_eq!(idx.len(), in_rows, "one index per input row required");
-        for &i in &idx {
-            assert!(i < out_rows, "scatter index {i} out of {out_rows} rows");
-        }
-        let mut v = self.alloc_tensor(out_rows, cols);
-        let av = self.value(a);
-        for (r, &i) in idx.iter().enumerate() {
-            for c in 0..cols {
-                v.set(i, c, v.get(i, c) + av.get(r, c));
-            }
-        }
-        self.push(Op::ScatterAddRows(a, idx), v)
-    }
-
-    /// [`Tape::scatter_add_rows`] with a precomputed shared index plan.
-    pub fn scatter_add_rows_plan(&mut self, a: Var, plan: &IndexPlan, out_rows: usize) -> Var {
+    pub fn scatter_add_rows(&mut self, a: Var, plan: &IndexPlan, out_rows: usize) -> Var {
         let (in_rows, cols) = self.value(a).shape();
         assert_eq!(plan.len(), in_rows, "one index per input row required");
         for &i in plan.indices() {
@@ -465,7 +421,7 @@ impl Tape {
                 v.set(i, c, v.get(i, c) + av.get(r, c));
             }
         }
-        self.push(Op::ScatterAddRowsP(a, plan.clone()), v)
+        self.push(Op::ScatterAddRows(a, plan.clone()), v)
     }
 
     /// Batched matrix product `a * b` where `a`'s rows are the concatenation
@@ -750,9 +706,6 @@ impl Tape {
             Op::Affine(a, alpha, _beta) => {
                 add_to(grads, *a, g.map(|x| alpha * x));
             }
-            Op::MulConst(a, c) => {
-                add_to(grads, *a, g.zip(c, |x, y| x * y));
-            }
             Op::Sigmoid(a) => {
                 let y = &node.value;
                 add_to(grads, *a, g.zip(y, |gx, yx| gx * yx * (1.0 - yx)));
@@ -777,24 +730,7 @@ impl Tape {
                 add_to(grads, *a, ga);
                 add_to(grads, *b, gb);
             }
-            Op::GatherRows(a, idx) => {
-                let rows = self.value(*a).rows();
-                let mut ga = Tensor::zeros(rows, g.cols());
-                for (r, &i) in idx.iter().enumerate() {
-                    for c in 0..g.cols() {
-                        ga.set(i, c, ga.get(i, c) + g.get(r, c));
-                    }
-                }
-                add_to(grads, *a, ga);
-            }
-            Op::ScatterAddRows(a, idx) => {
-                let mut ga = Tensor::zeros(idx.len(), g.cols());
-                for (r, &i) in idx.iter().enumerate() {
-                    ga.copy_row_from(r, g, i);
-                }
-                add_to(grads, *a, ga);
-            }
-            Op::GatherRowsP(a, plan) => {
+            Op::GatherRows(a, plan) => {
                 let rows = self.value(*a).rows();
                 let mut ga = Tensor::zeros(rows, g.cols());
                 for (r, &i) in plan.indices().iter().enumerate() {
@@ -804,14 +740,14 @@ impl Tape {
                 }
                 add_to(grads, *a, ga);
             }
-            Op::ScatterAddRowsP(a, plan) => {
+            Op::ScatterAddRows(a, plan) => {
                 let mut ga = Tensor::zeros(plan.len(), g.cols());
                 for (r, &i) in plan.indices().iter().enumerate() {
                     ga.copy_row_from(r, g, i);
                 }
                 add_to(grads, *a, ga);
             }
-            Op::MulConstShared(a, c) => {
+            Op::MulConst(a, c) => {
                 add_to(grads, *a, g.zip(c, |x, y| x * y));
             }
             Op::SegMatMul(a, b, plan) => {
@@ -1113,9 +1049,9 @@ mod tests {
         grad_check(
             |tape, _| {
                 let va = Var(0);
-                let gathered = tape.gather_rows(va, vec![0, 2, 2, 3, 1]);
+                let gathered = tape.gather_rows(va, &IndexPlan::new(vec![0, 2, 2, 3, 1]));
                 let act = tape.tanh(gathered);
-                let scattered = tape.scatter_add_rows(act, vec![1, 0, 1, 2, 2], 3);
+                let scattered = tape.scatter_add_rows(act, &IndexPlan::new(vec![1, 0, 1, 2, 2]), 3);
                 tape.sum_all(scattered)
             },
             &[a],
@@ -1150,11 +1086,17 @@ mod tests {
     #[test]
     fn grad_mul_const_and_one_minus() {
         let a = rand_t(2, 3, 13);
-        let mask = Tensor::from_fn(2, 3, |r, c| if (r + c) % 2 == 0 { 1.0 } else { 0.3 });
+        let mask = Arc::new(Tensor::from_fn(2, 3, |r, c| {
+            if (r + c) % 2 == 0 {
+                1.0
+            } else {
+                0.3
+            }
+        }));
         grad_check(
             move |tape, _| {
                 let va = Var(0);
-                let m = tape.mul_const(va, &mask);
+                let m = tape.mul_const_shared(va, &mask);
                 let o = tape.one_minus(m);
                 tape.mean_all(o)
             },
@@ -1272,51 +1214,6 @@ mod tests {
             &[a],
             1e-6,
         );
-    }
-
-    #[test]
-    fn plan_ops_match_vec_ops_bitwise() {
-        let a = rand_t(4, 3, 31);
-        let idx = vec![0, 2, 2, 3, 1];
-        let scat = vec![1, 0, 1, 2, 2];
-
-        let mut t1 = Tape::new();
-        let va1 = t1.leaf(a.clone());
-        let g1 = t1.gather_rows(va1, idx.clone());
-        let s1 = t1.scatter_add_rows(g1, scat.clone(), 3);
-        let l1 = t1.sum_all(s1);
-        let gr1 = t1.backward(l1);
-
-        let mut t2 = Tape::new();
-        let va2 = t2.leaf(a.clone());
-        let g2 = t2.gather_rows_plan(va2, &IndexPlan::new(idx));
-        let s2 = t2.scatter_add_rows_plan(g2, &IndexPlan::new(scat), 3);
-        let l2 = t2.sum_all(s2);
-        let gr2 = t2.backward(l2);
-
-        assert_eq!(t1.value(s1), t2.value(s2));
-        assert_eq!(gr1.get(va1), gr2.get(va2));
-    }
-
-    #[test]
-    fn mul_const_shared_matches_mul_const() {
-        let a = rand_t(3, 2, 32);
-        let mask = Tensor::from_fn(3, 2, |r, c| if (r + c) % 2 == 0 { 1.0 } else { 0.25 });
-        let mut t1 = Tape::new();
-        let va1 = t1.leaf(a.clone());
-        let m1 = t1.mul_const(va1, &mask);
-        let l1 = t1.sum_all(m1);
-        let gr1 = t1.backward(l1);
-
-        let shared = Arc::new(mask);
-        let mut t2 = Tape::new();
-        let va2 = t2.leaf(a);
-        let m2 = t2.mul_const_shared(va2, &shared);
-        let l2 = t2.sum_all(m2);
-        let gr2 = t2.backward(l2);
-
-        assert_eq!(t1.value(m1), t2.value(m2));
-        assert_eq!(gr1.get(va1), gr2.get(va2));
     }
 
     /// The load-bearing batched-kernel guarantee at the op level: a

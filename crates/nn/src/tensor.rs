@@ -231,7 +231,8 @@ impl Tensor {
         // i-k-j order over the *transposed* slice: k walks rows lo..hi
         // ascending — the same accumulation order (and the same exact-zero
         // sparsity skip) as the copy/transpose/matmul chain, so the result
-        // is bitwise identical to the per-sample path.
+        // is bitwise identical to `self.transpose().matmul(rhs)` on the
+        // slice.
         for i in 0..self.cols {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
             for k in lo..hi {

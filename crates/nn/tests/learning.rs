@@ -21,21 +21,22 @@ fn mlp_learns_xor() {
     let mut opt = Adam::new(&store, 0.05);
     let x = Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
     let y = Tensor::from_vec(4, 1, vec![0., 1., 1., 0.]);
+    let seg = SegmentPlan::singleton(4);
     let mut last_loss = f64::INFINITY;
     for _ in 0..800 {
         let mut sess = Session::new(&store);
         let vx = sess.input(x.clone());
-        let pred = mlp.forward(&mut sess, vx);
+        let pred = mlp.forward(&mut sess, vx, &seg);
         let loss = sess.tape.mse(pred, &y);
         last_loss = sess.tape.value(loss).get(0, 0);
         let grads = sess.tape.backward(loss);
-        let pg = sess.param_grads(&grads);
+        let pg = sess.param_grads_seg(&grads, 1).remove(0);
         opt.step(&mut store, &pg);
     }
     assert!(last_loss < 0.01, "XOR loss stuck at {last_loss}");
     let mut sess = Session::new(&store);
     let vx = sess.input(x);
-    let pred = mlp.forward(&mut sess, vx);
+    let pred = mlp.forward(&mut sess, vx, &seg);
     let p = sess.tape.value(pred);
     for (i, want) in [0.0, 1.0, 1.0, 0.0].iter().enumerate() {
         assert!(
@@ -76,6 +77,7 @@ fn gru_learns_sequence_sum_sign() {
         })
         .collect();
 
+    let seg = SegmentPlan::singleton(seqs.len());
     let mut final_loss = f64::INFINITY;
     for _ in 0..400 {
         let mut sess = Session::new(&store);
@@ -83,14 +85,14 @@ fn gru_learns_sequence_sum_sign() {
         let mut h = sess.input(Tensor::zeros(seqs.len(), 6));
         for t in 0..5 {
             let xt = sess.input(Tensor::from_fn(seqs.len(), 1, |b, _| seqs[b][t]));
-            h = gru.step(&mut sess, xt, h);
+            h = gru.step(&mut sess, xt, h, &seg);
         }
-        let pred = readout.forward(&mut sess, h);
+        let pred = readout.forward(&mut sess, h, &seg);
         let target = Tensor::from_fn(seqs.len(), 1, |b, _| labels[b]);
         let loss = sess.tape.mse(pred, &target);
         final_loss = sess.tape.value(loss).get(0, 0);
         let grads = sess.tape.backward(loss);
-        let mut pg = sess.param_grads(&grads);
+        let mut pg = sess.param_grads_seg(&grads, 1).remove(0);
         routenet_nn::optim::clip_global_norm(&mut pg, 5.0);
         opt.step(&mut store, &pg);
     }
@@ -138,10 +140,10 @@ proptest! {
         let t = Tensor::xavier(4, 3, &mut rng);
         let mut tape = Tape::new();
         let a = tape.leaf(t.clone());
-        let perm = tape.gather_rows(a, vec![0, 1, 2, 3]);
+        let perm = tape.gather_rows(a, &IndexPlan::new(vec![0, 1, 2, 3]));
         prop_assert_eq!(tape.value(perm), &t);
         // scatter rows 0 and 1 into the same output row
-        let s = tape.scatter_add_rows(a, vec![0, 0, 1, 1], 2);
+        let s = tape.scatter_add_rows(a, &IndexPlan::new(vec![0, 0, 1, 1]), 2);
         let sv = tape.value(s);
         for c in 0..3 {
             prop_assert!((sv.get(0, c) - (t.get(0, c) + t.get(1, c))).abs() < 1e-12);

@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 pub mod metrics {
     /// Counter: queries accepted into the queue.
     pub const QUERIES: &str = "serve.queries";
-    /// Counter: responses sent (success or typed error, sheds included).
+    /// Counter: responses to queries (success or typed error, sheds and
+    /// unparseable lines included). Replies to commands such as the
+    /// shutdown ack are not query responses and are not counted.
     pub const RESPONSES: &str = "serve.responses";
     /// Counter: queries shed at a full queue.
     pub const SHED: &str = "serve.shed";
@@ -222,12 +224,12 @@ impl ServerHandle {
         if let Some(cmd) = req.cmd.as_deref() {
             return match cmd {
                 "shutdown" => {
-                    self.respond(tx, Response::ack(req.id));
+                    send(tx, Response::ack(req.id));
                     self.shared.stop();
                     Submission::Shutdown
                 }
                 other => {
-                    self.respond(
+                    send(
                         tx,
                         Response::err(req.id, format!("unknown command `{other}`")),
                     );
@@ -294,11 +296,17 @@ impl ServerHandle {
         }
     }
 
+    /// Answer a query (or a line that failed to parse as one).
     fn respond(&self, tx: &mpsc::Sender<String>, resp: Response) {
         self.shared.tel.counter_add(metrics::RESPONSES, 1);
-        // lint: allow(error-discard, reason = "a disconnected client cannot receive its response; dropping it is the only option")
-        let _ = tx.send(resp.to_line());
+        send(tx, resp);
     }
+}
+
+/// Deliver one response line to its connection's writer.
+fn send(tx: &mpsc::Sender<String>, resp: Response) {
+    // lint: allow(error-discard, reason = "a disconnected client cannot receive its response; dropping it is the only option")
+    let _ = tx.send(resp.to_line());
 }
 
 /// The batcher loop: wait for queries, gather a micro-batch, predict,
@@ -538,6 +546,36 @@ mod tests {
         assert_eq!(ack.id, 9);
         assert!(ack.predictions.is_none() && ack.error.is_none());
         server.finish().unwrap();
+    }
+
+    #[test]
+    fn responses_count_queries_but_not_the_shutdown_ack() {
+        let server = start_server(ServerConfig::default());
+        let handle = server.handle();
+        let (tx, rx) = mpsc::channel();
+        let sc = scenario(110.0);
+        // Three answerable queries and one rejected query: all four are
+        // query responses, the error one included.
+        for id in 0..3u64 {
+            handle.submit_line(&query_line(id, &sc), &tx);
+        }
+        handle.submit_line(r#"{"id": 3}"#, &tx);
+        for _ in 0..4 {
+            rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        assert_eq!(
+            handle.submit_line(r#"{"id": 4, "cmd": "shutdown"}"#, &tx),
+            Submission::Shutdown
+        );
+        rx.recv().unwrap();
+        let tel = server.telemetry().clone();
+        server.finish().unwrap();
+        assert_eq!(tel.counter(metrics::RESPONSES), 4);
+        let serve_responses = tel.records().iter().find_map(|r| match r.event {
+            Event::Serve { responses, .. } => Some(responses),
+            _ => None,
+        });
+        assert_eq!(serve_responses, Some(4));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! layers, batched forward/backward, per-sample gradient reduction, Adam)
 //! across commits, so a refactor that claims "no change to the bits" is
 //! checked against stored bytes rather than against a second code path
-//! that could drift together with the first. Every execution mode the
-//! trainer offers must reproduce the same bytes.
+//! that could drift together with the first. Training at 1 and 2 worker
+//! threads must reproduce the same bytes.
 //!
 //! The dataset is built without the simulator: labels come from the
 //! analytic M/M/1 network model, so the test runs in seconds in a debug
@@ -31,9 +31,9 @@ use std::path::PathBuf;
 
 const BLESS_VAR: &str = "ROUTENET_BLESS_GOLDEN";
 
-/// Trainer execution modes that must all reproduce the goldens, as
-/// `(batched, threads)`. The first entry generates them when blessing.
-const MODES: [(bool, usize); 3] = [(false, 1), (true, 1), (true, 2)];
+/// Trainer thread counts that must all reproduce the goldens. The first
+/// entry generates them when blessing.
+const THREADS: [usize; 2] = [1, 2];
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -135,7 +135,7 @@ fn tiny_config() -> RouteNetConfig {
     }
 }
 
-fn train_model(batched: bool, threads: usize) -> RouteNet {
+fn train_model(threads: usize) -> RouteNet {
     let data = routenet_dataset(12);
     let (train_set, val_set) = data.split_at(10);
     let mut model = RouteNet::new(tiny_config());
@@ -144,7 +144,6 @@ fn train_model(batched: bool, threads: usize) -> RouteNet {
         batch_size: 4,
         lr: 5e-3,
         threads,
-        batched,
         // Never trips; enabling it exercises the initial evaluation pass.
         max_spike_factor: Some(1e6),
         ..TrainConfig::default()
@@ -213,10 +212,14 @@ fn routenet_prediction_bits(model: &RouteNet) -> String {
 
 #[test]
 fn routenet_training_and_predictions_match_goldens() {
-    let modes: &[(bool, usize)] = if blessing() { &MODES[..1] } else { &MODES };
-    for &(batched, threads) in modes {
-        let mode = format!("batched={batched} threads={threads}");
-        let model = train_model(batched, threads);
+    let counts = if blessing() {
+        &THREADS[..1]
+    } else {
+        &THREADS[..]
+    };
+    for &threads in counts {
+        let mode = format!("threads={threads}");
+        let model = train_model(threads);
         check_golden("routenet_model.json", &model.to_json(), &mode);
         check_golden(
             "routenet_predictions.txt",
