@@ -6,11 +6,11 @@
 //! validate-telemetry <log.jsonl> [--require RunStart,Epoch,RunEnd]
 //! ```
 //!
-//! Exits 0 and prints a one-line digest on success; exits 1 with a
-//! diagnostic on the first violation. Used by `scripts/check.sh` as the
-//! telemetry smoke gate.
+//! Exits 0 and prints a one-line digest on success, plus one `Serve:` line
+//! per serving-session digest in the log; exits 1 with a diagnostic on the
+//! first violation. Used by `scripts/check.sh` as the telemetry smoke gate.
 
-use routenet_obs::Record;
+use routenet_obs::{Event, Record};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -51,6 +51,7 @@ fn main() {
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let mut last_seq: Option<u64> = None;
     let mut n = 0usize;
+    let mut serve_lines: Vec<String> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -70,6 +71,18 @@ fn main() {
             }
         }
         last_seq = Some(rec.seq);
+        if let Event::Serve {
+            workers,
+            responses,
+            batches,
+            qps,
+            ..
+        } = &rec.event
+        {
+            serve_lines.push(format!(
+                "Serve: workers={workers} responses={responses} batches={batches} qps={qps:.1}"
+            ));
+        }
         *kinds.entry(rec.event.kind().to_string()).or_insert(0) += 1;
         n += 1;
     }
@@ -88,4 +101,7 @@ fn main() {
     }
     let digest: Vec<String> = kinds.iter().map(|(k, c)| format!("{k}={c}")).collect();
     println!("ok: {path}: {n} records ({})", digest.join(" "));
+    for line in &serve_lines {
+        println!("{line}");
+    }
 }

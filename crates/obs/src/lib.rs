@@ -176,6 +176,11 @@ pub enum Event {
         max_batch: u64,
         /// Wall-clock duration of the serving session, seconds.
         wall_s: f64,
+        /// Batcher worker threads that served the session. Logs written
+        /// before the field existed came from a single batcher, so it
+        /// defaults to 1 when absent.
+        #[serde(default = "one_worker")]
+        workers: usize,
     },
     /// The bounded serve queue entered an overload episode and began
     /// shedding queries (emitted once per episode, not per shed query —
@@ -193,6 +198,11 @@ pub enum Event {
         /// Total wall-clock duration of the run, seconds.
         wall_s: f64,
     },
+}
+
+/// Default of [`Event::Serve`]'s `workers` for logs that predate it.
+fn one_worker() -> usize {
+    1
 }
 
 impl Event {
@@ -534,24 +544,40 @@ impl Telemetry {
     pub fn counter_add(&self, name: &str, delta: u64) {
         let Some(inner) = &self.inner else { return };
         let mut st = lock(&inner.state);
-        *st.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Look the key up by `&str` first: a `String` key is allocated
+        // once, on first insert, not on every update.
+        match st.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                st.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Set the named gauge to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
         let mut st = lock(&inner.state);
-        st.gauges.insert(name.to_string(), value);
+        match st.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                st.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Record a duration (seconds) into the named histogram.
     pub fn observe_s(&self, name: &str, seconds: f64) {
         let Some(inner) = &self.inner else { return };
         let mut st = lock(&inner.state);
-        st.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(seconds);
+        match st.histograms.get_mut(name) {
+            Some(h) => h.record(seconds),
+            None => {
+                let mut h = Histogram::default();
+                h.record(seconds);
+                st.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Start a span timer that records its elapsed seconds into the named

@@ -14,6 +14,9 @@
 //! are read from stdin and responses written to stdout until EOF or a
 //! `{"cmd": "shutdown"}` line. Both can run at once; either's shutdown
 //! stops the daemon.
+//!
+//! The model is loaded once and shared by one batcher worker per available
+//! core; each worker keeps its own plan cache of `--cache-cap` topologies.
 
 use routenet_faults::FsHandle;
 use routenet_obs::Telemetry;
@@ -67,6 +70,7 @@ fn main() {
         queue_cap: args.get_or("queue-cap", 256),
         max_batch: args.get_or("max-batch", 32),
         batch_window: Duration::from_micros(args.get_or("batch-window-us", 1000)),
+        ..ServerConfig::default()
     };
     let use_stdin = args.has("stdin");
     let listen = args.get("listen");
@@ -82,12 +86,14 @@ fn main() {
             std::process::exit(1);
         });
     eprintln!(
-        "routenet-serve: model loaded ({} params, T={}), queue_cap={} max_batch={} window={}us",
+        "routenet-serve: model loaded ({} params, T={}), queue_cap={} max_batch={} window={}us \
+         workers={}",
         engine.model().n_parameters(),
         engine.model().config().t_iterations,
         cfg.queue_cap,
         cfg.max_batch,
         cfg.batch_window.as_micros(),
+        cfg.workers,
     );
 
     let tel = match args.get("telemetry") {

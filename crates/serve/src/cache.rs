@@ -70,6 +70,11 @@ impl PlanCache {
         plan
     }
 
+    /// Most plans the cache holds at once.
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
+    }
+
     /// Number of plans currently cached.
     pub fn len(&self) -> usize {
         self.entries.len()

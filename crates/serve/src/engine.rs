@@ -1,8 +1,12 @@
-//! The prediction engine: one loaded model, one plan cache, one arena tape.
+//! The prediction engine: a shared immutable model plus per-worker scratch.
 //!
-//! [`Engine`] owns everything a micro-batch needs and is driven by exactly
-//! one thread (the batcher), so it needs no interior locking: connection
-//! threads never touch the model, they only move queries through the queue.
+//! An [`Engine`] is split in two. The trained [`RouteNet`] is immutable while
+//! serving, so it is loaded once and shared as an `Arc` by every batcher
+//! worker. The mutable part — the [`PlanCache`] and the arena [`Tape`] — is
+//! owned by one engine and therefore by one worker thread, so prediction
+//! takes no lock. [`Engine::fork`] makes a sibling for another worker: same
+//! model, fresh cache and arena. Connection threads never touch an engine;
+//! they only move queries through the queue.
 
 use crate::cache::PlanCache;
 use routenet_core::checkpoint::{CheckpointError, TrainState, MAGIC};
@@ -10,6 +14,7 @@ use routenet_core::{Prediction, RouteNet, Scenario};
 use routenet_faults::FsHandle;
 use routenet_nn::Tape;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Upper bound on recycled arena buffers kept between micro-batches. One
 /// oversized batch would otherwise pin its tape memory for the daemon's
@@ -53,9 +58,9 @@ impl From<CheckpointError> for ServeError {
     }
 }
 
-/// Model + plan cache + arena tape: the single-threaded prediction core.
+/// Shared model + this worker's plan cache and arena tape.
 pub struct Engine {
-    model: RouteNet,
+    model: Arc<RouteNet>,
     cache: PlanCache,
     arena: Option<Tape>,
 }
@@ -79,8 +84,19 @@ impl Engine {
     /// Wrap an already-loaded model (tests, embedded use).
     pub fn from_model(model: RouteNet, cache_cap: usize) -> Engine {
         Engine {
-            model,
+            model: Arc::new(model),
             cache: PlanCache::new(cache_cap),
+            arena: Some(Tape::new()),
+        }
+    }
+
+    /// A sibling engine for another worker thread: it shares this engine's
+    /// model (no copy, no reload) and gets its own empty plan cache of the
+    /// same capacity and its own arena tape.
+    pub fn fork(&self) -> Engine {
+        Engine {
+            model: Arc::clone(&self.model),
+            cache: PlanCache::new(self.cache.capacity()),
             arena: Some(Tape::new()),
         }
     }
@@ -116,7 +132,7 @@ impl Engine {
         preds
     }
 
-    /// `(hits, misses)` of the plan cache.
+    /// `(hits, misses)` of this engine's plan cache (forks count apart).
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
     }
@@ -172,17 +188,46 @@ mod tests {
             m.predict_batch(&refs)
         };
         let mut engine = Engine::from_model(model(), 4);
-        let served = engine.predict(&refs);
+        assert_same_bits(&engine.predict(&refs), &offline);
+        // Three same-topology queries compiled against one cached plan.
+        assert_eq!(engine.cache_stats(), (2, 1));
+    }
+
+    fn assert_same_bits(served: &[Vec<Prediction>], offline: &[Vec<Prediction>]) {
         assert_eq!(served.len(), offline.len());
-        for (s, o) in served.iter().zip(&offline) {
+        for (s, o) in served.iter().zip(offline) {
+            assert_eq!(s.len(), o.len());
             for (a, b) in s.iter().zip(o) {
                 assert_eq!(a.delay_s.to_bits(), b.delay_s.to_bits());
                 assert_eq!(a.jitter_s2.to_bits(), b.jitter_s2.to_bits());
                 assert_eq!(a.drop_prob.to_bits(), b.drop_prob.to_bits());
             }
         }
-        // Three same-topology queries compiled against one cached plan.
+    }
+
+    #[test]
+    fn forked_engine_shares_the_model_but_keeps_its_own_cache() {
+        let scenarios = [scenario(100.0), scenario(60.0)];
+        let refs: Vec<&Scenario> = scenarios.iter().collect();
+        let mut engine = Engine::from_model(model(), 4);
+        let first = engine.predict(&refs);
+        let mut fork = engine.fork();
+        assert!(
+            std::ptr::eq(engine.model(), fork.model()),
+            "a fork must share the loaded model, not copy it"
+        );
+        assert_eq!(
+            fork.cache_stats(),
+            (0, 0),
+            "a fork starts with an empty cache"
+        );
+        assert_same_bits(&fork.predict(&refs), &first);
+        assert_eq!(fork.cache_stats(), (1, 1));
+        // The fork's lookups did not touch the parent's counters.
+        assert_eq!(engine.cache_stats(), (1, 1));
+        engine.predict(&refs[..1]);
         assert_eq!(engine.cache_stats(), (2, 1));
+        assert_eq!(fork.cache_stats(), (1, 1));
     }
 
     #[test]

@@ -17,15 +17,18 @@
 //! - **Plan cache** ([`cache`]): per-topology [`PathTensors`] indexings keyed
 //!   by routing equality, FIFO-evicted, deterministic (no hash-order
 //!   iteration anywhere — this crate is in the analyzer's RN101 scope).
-//! - **Micro-batching** ([`server`]): a bounded queue feeds one batcher
-//!   thread that drains up to `max_batch` queries per window and runs them
-//!   as ONE batched forward pass, reusing a single arena tape.
+//! - **Micro-batching** ([`server`]): a bounded queue feeds `workers`
+//!   batcher threads (one per core by default). Each drains up to
+//!   `max_batch` queries per window and runs them as ONE batched forward
+//!   pass through its own [`Engine`]: the model is loaded once and shared,
+//!   while each worker owns its plan cache and arena tape.
 //! - **Determinism contract**: by the batched-equivalence property
 //!   (PR 7; `crates/core/tests/batched_equivalence.rs`), every query's
 //!   served predictions are bitwise identical to an offline
 //!   [`routenet_core::sample::KpiPredictor::predict_batch`] on the same
 //!   scenario, regardless of which queries happened to share its
-//!   micro-batch.
+//!   micro-batch or which worker ran it. Responses on one connection may
+//!   arrive out of submission order; clients match them by `id`.
 //! - **Overload**: when the bounded queue is full the daemon sheds the
 //!   query with a typed error response instead of queueing unboundedly;
 //!   shedding is observable via the `QueryShed` telemetry event.

@@ -1,20 +1,28 @@
-//! The daemon core: bounded query queue, micro-batcher thread, and the
+//! The daemon core: bounded query queue, micro-batcher workers, and the
 //! TCP / stdin front-ends.
 //!
 //! Threading model (no locks on the prediction path beyond the queue):
 //!
 //! ```text
-//! conn thread 1 ──┐                     ┌── writer thread 1 (mpsc → socket)
-//! conn thread 2 ──┤→ bounded queue ─→ batcher thread (owns Engine) ─→ txs
-//! stdin reader  ──┘   (Mutex+Condvar)   one predict_batch per micro-batch
+//!                                       ┌→ batcher 1 (Engine) ─┐
+//! conn thread 1 ──┐                     │                      │  ┌── writer thread 1
+//! conn thread 2 ──┤→ bounded queue ─────┼→ batcher 2 (fork)  ──┼─→┤   (mpsc → socket)
+//! stdin reader  ──┘   (Mutex+Condvar)   └→ batcher K (fork)  ──┘  └── writer thread 2
+//!                                  one predict_batch per micro-batch
 //! ```
 //!
 //! Connection threads parse, finalize, and validate queries, then enqueue
-//! [`Job`]s. The single batcher thread drains up to
-//! [`ServerConfig::max_batch`] jobs per [`ServerConfig::batch_window`] and
-//! answers them with ONE batched forward pass. When the queue is full the
-//! query is *shed* — answered immediately with a typed error — rather than
-//! queued unboundedly; the transition into an overload episode emits one
+//! [`Job`]s. [`ServerConfig::workers`] batcher threads drain the one queue;
+//! each takes up to [`ServerConfig::max_batch`] jobs per
+//! [`ServerConfig::batch_window`] and answers them with ONE batched forward
+//! pass through its own [`Engine`]. The engines share one loaded model
+//! (`Arc<RouteNet>`, see [`Engine::fork`]) and each owns its plan cache and
+//! arena tape, so workers never contend on prediction state. Every answer is
+//! still bitwise the offline answer; only the order in which responses reach
+//! a connection depends on which worker finished first, and clients match
+//! responses to queries by `id`. When the queue is full the query is *shed*
+//! — answered immediately with a typed error — rather than queued
+//! unboundedly; the transition into an overload episode emits one
 //! `QueryShed` event (per-shed emission would make the O(log) file sink
 //! quadratic exactly when the daemon is busiest).
 
@@ -23,8 +31,9 @@ use crate::wire::{Request, Response};
 use routenet_core::Scenario;
 use routenet_obs::{Event, Telemetry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
+use std::num::NonZeroUsize;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -47,6 +56,15 @@ pub mod metrics {
     pub const BATCH_SIZE: &str = "serve.batch_size";
 }
 
+/// Longest request line a TCP peer may send, newline excluded. A what-if
+/// query on the largest topology the repo ships (50-node Synth-50, every
+/// pair routed) encodes to about 72 KB of JSON; 4 MiB leaves a margin of
+/// more than 50x (room for topologies of a few hundred nodes) while keeping
+/// a peer that never sends a newline from growing one buffer without bound.
+/// A longer line gets a `request line too long` error response, and then
+/// its connection is closed.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
 /// Tunables of the serving loop.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -54,9 +72,13 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Largest micro-batch handed to one batched forward pass.
     pub max_batch: usize,
-    /// How long the batcher waits for more queries after the first one
+    /// How long a batcher waits for more queries after the first one
     /// lands, before running a partial batch. Zero serves every query solo.
     pub batch_window: Duration,
+    /// Batcher threads draining the queue, each with its own plan cache and
+    /// arena over the one shared model. Defaults to the cores available to
+    /// the process; 0 is treated as 1.
+    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -65,11 +87,12 @@ impl Default for ServerConfig {
             queue_cap: 256,
             max_batch: 32,
             batch_window: Duration::from_millis(1),
+            workers: thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 }
 
-/// One admitted query waiting for the batcher.
+/// One admitted query waiting for a batcher.
 struct Job {
     id: u64,
     scenario: Scenario,
@@ -109,15 +132,16 @@ pub enum Submission {
     Shutdown,
 }
 
-/// The running daemon: queue, batcher thread, telemetry.
+/// The running daemon: queue, batcher workers, telemetry.
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<thread::JoinHandle<()>>,
+    batchers: Vec<thread::JoinHandle<()>>,
     started: Instant,
 }
 
 impl Server {
-    /// Start the batcher thread over `engine`.
+    /// Start [`ServerConfig::workers`] batcher threads: the first runs
+    /// `engine`, the others run forks of it that share its model.
     pub fn start(engine: Engine, cfg: ServerConfig, tel: Telemetry) -> Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState::default()),
@@ -125,11 +149,18 @@ impl Server {
             cfg,
             tel,
         });
-        let batcher_shared = Arc::clone(&shared);
-        let batcher = thread::spawn(move || run_batcher(engine, &batcher_shared));
+        let mut engines: Vec<Engine> = (1..cfg.workers).map(|_| engine.fork()).collect();
+        engines.push(engine);
+        let batchers = engines
+            .into_iter()
+            .map(|engine| {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || run_batcher(engine, &shared))
+            })
+            .collect();
         Server {
             shared,
-            batcher: Some(batcher),
+            batchers,
             started: Instant::now(),
         }
     }
@@ -146,18 +177,19 @@ impl Server {
         lock(&self.shared.state).stopped
     }
 
-    /// Ask the batcher to drain the queue and exit.
+    /// Ask the batchers to drain the queue and exit.
     pub fn stop(&self) {
         self.shared.stop();
     }
 
-    /// Stop, join the batcher (draining queued queries first), emit the
-    /// end-of-run `Serve` digest, and flush telemetry. Returns the deferred
-    /// telemetry sink failure, if any.
+    /// Stop, join every batcher (they drain the queued queries first),
+    /// emit the end-of-run `Serve` digest, and flush telemetry. Returns the
+    /// deferred telemetry sink failure, if any.
     #[must_use = "ignoring the result hides deferred telemetry sink failures"]
-    pub fn finish(mut self) -> std::io::Result<()> {
+    pub fn finish(self) -> std::io::Result<()> {
         self.shared.stop();
-        if let Some(b) = self.batcher.take() {
+        let workers = self.batchers.len();
+        for b in self.batchers {
             // lint: allow(error-discard, reason = "a panicked batcher already printed its panic; finish must still flush telemetry")
             let _ = b.join();
         }
@@ -181,6 +213,7 @@ impl Server {
             mean_batch: batch.map_or(0.0, |b| b.mean),
             max_batch: batch.map_or(0, |b| b.max as u64),
             wall_s,
+            workers,
         });
         tel.finish()
     }
@@ -309,8 +342,9 @@ fn send(tx: &mpsc::Sender<String>, resp: Response) {
     let _ = tx.send(resp.to_line());
 }
 
-/// The batcher loop: wait for queries, gather a micro-batch, predict,
-/// respond. Exits when the server is stopped AND the queue is drained.
+/// One batcher worker's loop: wait for queries, gather a micro-batch,
+/// predict, respond. Exits when the server is stopped AND the queue is
+/// drained.
 fn run_batcher(mut engine: Engine, shared: &Shared) {
     loop {
         let batch: Vec<Job> = {
@@ -343,7 +377,17 @@ fn run_batcher(mut engine: Engine, shared: &Shared) {
                 st = g;
             }
             let n = st.jobs.len().min(shared.cfg.max_batch);
-            st.jobs.drain(..n).collect()
+            if n == 0 {
+                // Another worker took the queries this window waited for.
+                continue;
+            }
+            let batch = st.jobs.drain(..n).collect();
+            if !st.jobs.is_empty() {
+                // Hand the remainder to an idle worker rather than leave it
+                // until this batch is answered.
+                shared.notify.notify_one();
+            }
+            batch
         };
         let scenarios: Vec<&Scenario> = batch.iter().map(|j| &j.scenario).collect();
         let preds = engine.predict(&scenarios);
@@ -385,7 +429,7 @@ pub fn serve_tcp(listener: TcpListener, server: &Server) -> std::io::Result<()> 
         conns.retain(|c| !c.is_finished());
     }
     // Connections still open at shutdown belong to clients that already got
-    // every response they asked for (the batcher drains before exit); they
+    // every response they asked for (the batchers drain before exit); they
     // end when the peer hangs up or the process exits.
     Ok(())
 }
@@ -404,13 +448,33 @@ fn serve_connection(stream: std::net::TcpStream, handle: &ServerHandle) -> std::
             }
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // mid-line disconnect or garbage bytes
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read at most one byte past the cap: a line that still has no
+        // newline by then is too long, whatever follows it.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break, // EOF or mid-line disconnect
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            handle.respond(
+                &tx,
+                Response::err(
+                    0,
+                    format!("request line too long: over {MAX_LINE_BYTES} bytes"),
+                ),
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break; // garbage bytes
         };
-        if handle.submit_line(&line, &tx) == Submission::Shutdown {
+        if handle.submit_line(line, &tx) == Submission::Shutdown {
             break;
         }
     }
@@ -448,7 +512,7 @@ pub fn serve_pipe(
         }
     }
     // Wait for every admitted query's response before closing the pipe:
-    // stopping makes the batcher drain the queue and exit, and dropping tx
+    // stopping makes the batchers drain the queue and exit, and dropping tx
     // afterwards ends the writer once the drained responses are written.
     server.stop();
     drop(tx);
@@ -607,11 +671,12 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_typed_error_and_one_episode_event() {
-        // queue_cap 1 and a long window: the batcher naps while we flood.
+        // queue_cap 1 and a long window: the batchers nap while we flood.
         let server = start_server(ServerConfig {
             queue_cap: 1,
             max_batch: 8,
             batch_window: Duration::from_millis(200),
+            workers: 2,
         });
         let handle = server.handle();
         let (tx, rx) = mpsc::channel();
@@ -648,6 +713,76 @@ mod tests {
             "one uninterrupted overload episode emits exactly one event"
         );
         assert!(records.iter().any(|r| r.event.kind() == "Serve"));
+    }
+
+    #[test]
+    fn two_workers_answer_a_burst_exactly_once_and_drain_on_shutdown() {
+        let server = start_server(ServerConfig {
+            queue_cap: 64,
+            max_batch: 4,
+            batch_window: Duration::from_millis(5),
+            workers: 2,
+        });
+        let handle = server.handle();
+        let (tx, rx) = mpsc::channel();
+        let n = 40u64;
+        for id in 0..n {
+            let line = query_line(id, &scenario(50.0 + id as f64));
+            assert_eq!(handle.submit_line(&line, &tx), Submission::Handled);
+        }
+        drop(tx);
+        // Stop at once: the workers must still drain every admitted query
+        // before `finish` has joined them all.
+        let tel = server.telemetry().clone();
+        server.finish().unwrap();
+        assert!(lock(&handle.shared.state).jobs.is_empty());
+        assert_eq!(
+            Arc::strong_count(&handle.shared),
+            1,
+            "every worker has exited and released the queue"
+        );
+        drop(handle);
+        let mut ids: Vec<u64> = rx
+            .iter()
+            .map(|l| {
+                let r: Response = serde_json::from_str(&l).unwrap();
+                assert!(r.predictions.is_some(), "{:?}", r.error);
+                r.id
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>(), "each id answered once");
+        assert_eq!(tel.counter(metrics::QUERIES), n);
+        assert_eq!(tel.counter(metrics::RESPONSES), n);
+        let digest = tel.records().iter().find_map(|r| match r.event {
+            Event::Serve {
+                responses, workers, ..
+            } => Some((responses, workers)),
+            _ => None,
+        });
+        assert_eq!(digest, Some((n, 2)));
+    }
+
+    #[test]
+    fn line_cap_leaves_a_wide_margin_over_the_largest_shipped_topology() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(50);
+        let g = routenet_netgraph::generate::synthetic(50, &mut rng);
+        let routing = shortest_path_routing(&g).unwrap();
+        let mut traffic = TrafficMatrix::zeros(g.n_nodes());
+        for (s, d) in g.node_pairs() {
+            traffic.set_demand(s, d, 123.456_789 + (s.0 * 50 + d.0) as f64);
+        }
+        let sc = Scenario {
+            graph: g,
+            routing,
+            traffic,
+        };
+        let len = query_line(u64::MAX, &sc).len();
+        assert!(
+            16 * len <= MAX_LINE_BYTES,
+            "a {len}-byte Synth-50 query needs a wider line cap"
+        );
     }
 
     #[test]

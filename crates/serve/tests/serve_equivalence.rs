@@ -4,7 +4,7 @@
 //! counterpart of the batched-training equivalence contract
 //! (`crates/core/tests/batched_equivalence.rs`). Concurrent clients make
 //! the micro-batch composition nondeterministic on purpose: the answers
-//! must not depend on it.
+//! must not depend on it, nor on how many batcher workers share the model.
 
 use routenet_core::features::Normalizer;
 use routenet_core::{KpiPredictor, RouteNet, RouteNetConfig, Scenario};
@@ -66,6 +66,14 @@ fn corpus() -> Vec<Scenario> {
 
 #[test]
 fn tcp_served_predictions_are_byte_identical_to_offline() {
+    // Two workers run even on a one-core host: the contract is about the
+    // bytes, not the speed-up.
+    for workers in [1, 2] {
+        served_matches_offline(workers);
+    }
+}
+
+fn served_matches_offline(workers: usize) {
     let queries = corpus();
     // Offline reference: the KpiPredictor sweep path, serialized through
     // the SAME wire encoder the daemon uses.
@@ -86,6 +94,7 @@ fn tcp_served_predictions_are_byte_identical_to_offline() {
             queue_cap: 64,
             max_batch: 8,
             batch_window: Duration::from_millis(2),
+            workers,
         },
         Telemetry::in_memory("serve-test", "equivalence"),
     );
@@ -144,7 +153,8 @@ fn tcp_served_predictions_are_byte_identical_to_offline() {
         assert_eq!(
             served.get(id),
             Some(line),
-            "served response for query {id} must be byte-identical to offline"
+            "served response for query {id} must be byte-identical to offline \
+             ({workers} workers)"
         );
     }
 
@@ -163,9 +173,11 @@ fn tcp_served_predictions_are_byte_identical_to_offline() {
         responses,
         batches,
         max_batch,
+        workers: w,
         ..
     } = &serve_event.event
     {
+        assert_eq!(*w, workers);
         assert_eq!(*q, 12);
         assert_eq!(*responses, 12);
         assert!(

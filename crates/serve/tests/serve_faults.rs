@@ -1,7 +1,8 @@
 //! Fault-tolerance of the serving daemon: injected filesystem faults at
 //! load time surface as typed [`ServeError`]s (never panics), and hostile
-//! TCP peers — garbage bytes, invalid UTF-8, mid-line disconnects — only
-//! ever cost their own connection while the daemon keeps serving.
+//! TCP peers — garbage bytes, invalid UTF-8, mid-line disconnects, lines
+//! that never end — only ever cost their own connection while the daemon
+//! keeps serving.
 
 use routenet_core::features::Normalizer;
 use routenet_core::{RouteNet, RouteNetConfig, Scenario};
@@ -10,7 +11,7 @@ use routenet_netgraph::routing::shortest_path_routing;
 use routenet_netgraph::topology::nsfnet;
 use routenet_netgraph::TrafficMatrix;
 use routenet_obs::Telemetry;
-use routenet_serve::server::serve_tcp;
+use routenet_serve::server::{serve_tcp, MAX_LINE_BYTES};
 use routenet_serve::{Engine, Request, Response, ServeError, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -172,4 +173,88 @@ fn hostile_peers_only_cost_their_own_connection() {
         server.stop();
     });
     server.finish().unwrap();
+}
+
+/// Write `n` filler bytes (no newline among them) in bounded chunks.
+fn write_filler(out: &mut TcpStream, mut n: usize) {
+    let chunk = vec![b'x'; 1 << 16];
+    while n > 0 {
+        let k = n.min(chunk.len());
+        out.write_all(&chunk[..k]).unwrap();
+        n -= k;
+    }
+    out.flush().unwrap();
+}
+
+fn read_response(reader: &mut BufReader<TcpStream>) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    serde_json::from_str(line.trim()).unwrap()
+}
+
+#[test]
+fn oversized_request_line_gets_typed_error_and_closes_only_its_connection() {
+    let server = Server::start(
+        Engine::from_model(model(), 4),
+        ServerConfig::default(),
+        Telemetry::in_memory("serve-test", "line-cap"),
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    std::thread::scope(|scope| {
+        let server_ref = &server;
+        scope.spawn(move || serve_tcp(listener, server_ref).unwrap());
+        // A healthy peer, connected before the hostile one and kept open
+        // through it.
+        let healthy = TcpStream::connect(addr).unwrap();
+
+        let hostile = TcpStream::connect(addr).unwrap();
+        let mut out = hostile.try_clone().unwrap();
+        let mut reader = BufReader::new(hostile);
+        // A line of exactly the cap is read (and rejected as bad JSON, not
+        // as too long); the connection stays open.
+        let writer = scope.spawn(move || {
+            write_filler(&mut out, MAX_LINE_BYTES);
+            out.write_all(b"\n").unwrap();
+            out
+        });
+        let resp = read_response(&mut reader);
+        let mut out = writer.join().unwrap();
+        let err = resp.error.expect("filler is not a request");
+        assert!(err.contains("bad request"), "{err}");
+        // One byte more and no newline: a typed error, then the daemon
+        // closes this connection.
+        let writer = scope.spawn(move || write_filler(&mut out, MAX_LINE_BYTES + 1));
+        let resp = read_response(&mut reader);
+        writer.join().unwrap();
+        assert_eq!(resp.id, 0);
+        assert!(resp.predictions.is_none());
+        let err = resp.error.expect("oversized line must be answered");
+        assert!(err.contains("request line too long"), "{err}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+        // The healthy peer is still served.
+        let mut out = healthy.try_clone().unwrap();
+        let mut reader = BufReader::new(healthy);
+        let req = serde_json::to_string(&Request {
+            id: 7,
+            scenario: Some(scenario()),
+            cmd: None,
+        })
+        .unwrap();
+        out.write_all(req.as_bytes()).unwrap();
+        out.write_all(b"\n").unwrap();
+        out.flush().unwrap();
+        let resp = read_response(&mut reader);
+        assert_eq!(resp.id, 7);
+        assert!(resp.predictions.is_some(), "{:?}", resp.error);
+
+        server.stop();
+    });
+    let tel = server.telemetry().clone();
+    server.finish().unwrap();
+    // Both rejections and the healthy answer are query responses.
+    assert_eq!(tel.counter("serve.responses"), 3);
 }

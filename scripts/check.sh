@@ -142,7 +142,9 @@ done
 # it from concurrent pipelined connections, and require the served responses
 # to be BYTE-identical to the offline predict path serialized through the
 # same wire encoder (see DESIGN.md "Serving" — micro-batch composition must
-# never perturb answers). The daemon's telemetry must carry the Serve digest.
+# never perturb answers). The daemon's telemetry must carry the Serve digest,
+# and the digest must show one batcher worker per core, so on a multicore
+# host the cmp above ran with several workers answering concurrently.
 step "serve smoke test (daemon vs offline byte-equivalence)"
 cargo run -q --release -p routenet-serve --bin routenet-serve -- \
     --model "$TELDIR/model.json" --listen 127.0.0.1:0 \
@@ -167,6 +169,10 @@ cargo run -q --release -p routenet-bench --bin serve-loadgen -- \
 cmp "$TELDIR/served.jsonl" "$TELDIR/offline.jsonl"
 cargo run -q --release -p routenet-obs --bin validate-telemetry -- \
     "$TELDIR/serve.telemetry.jsonl" \
-    --require RunStart,Serve,RunEnd
+    --require RunStart,Serve,RunEnd | tee "$TELDIR/serve.digest"
+grep -q "^Serve: workers=$CORES " "$TELDIR/serve.digest" || {
+    echo "serve digest does not show $CORES workers" >&2
+    exit 1
+}
 
 step "all checks passed"
