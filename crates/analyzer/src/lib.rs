@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 /// slice-indexing check (the paper-critical hot paths).
 pub const HOT_PATHS: &[&str] = &[
     "crates/nn/src/tape.rs",
+    "crates/nn/src/gru.rs",
     "crates/simnet/src/sim.rs",
     "crates/core/src/model.rs",
     "crates/core/src/trainer.rs",
@@ -37,6 +38,7 @@ pub const HOT_PATHS: &[&str] = &[
 /// simulator event loop.
 pub const ALLOC_HOT_PATHS: &[&str] = &[
     "crates/nn/src/tape.rs",
+    "crates/nn/src/gru.rs",
     "crates/nn/src/tensor.rs",
     "crates/nn/src/plan.rs",
     "crates/core/src/trainer.rs",

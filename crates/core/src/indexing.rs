@@ -88,16 +88,6 @@ impl PathTensors {
         }
         fanin
     }
-
-    /// A 0/1 row mask (`n_paths x dim` semantics, returned per-row) marking
-    /// paths active at position `k`.
-    pub fn active_mask(&self, k: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.n_paths];
-        for &p in &self.positions[k].path_idx {
-            mask[p] = true;
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +151,16 @@ mod tests {
         assert!(fanin.iter().all(|&f| f >= 1));
     }
 
+    /// Position `k` lists every path longer than `k` exactly once — the
+    /// precondition of the forward pass's row overwrite.
     #[test]
-    fn active_mask_consistent_with_path_len() {
+    fn position_rows_are_the_paths_longer_than_k_once_each() {
         let t = tensors();
         for k in 0..t.max_len {
-            let mask = t.active_mask(k);
-            for (p, &m) in mask.iter().enumerate() {
-                assert_eq!(m, t.path_len[p] > k, "path {p} pos {k}");
-            }
+            let mut listed = t.positions[k].path_idx.clone();
+            listed.sort_unstable();
+            let longer: Vec<usize> = (0..t.n_paths).filter(|&p| t.path_len[p] > k).collect();
+            assert_eq!(listed, longer, "pos {k}");
         }
     }
 

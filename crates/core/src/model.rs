@@ -14,9 +14,14 @@
 //! readout:  [delay, jitter] = MLP(h_p)
 //! ```
 //!
-//! The per-position batching (gather active paths' link states → one GRU
-//! step over the whole batch → scatter messages into link inboxes) makes the
-//! tape length `O(T · max_path_len)` rather than `O(T · Σ|p|)`.
+//! The per-position batching makes the tape length `O(T · max_path_len)`
+//! rather than `O(T · Σ|p|)`. Each iteration projects every link state
+//! through the path cell's input weights once; each hop position is then
+//! three tape nodes plus the inbox sum: a fused path-GRU step that gathers
+//! the active paths' projected link rows and previous path states, a row
+//! overwrite that puts the new states into the path-state matrix, and a
+//! scatter of the same states (the messages) into the link inboxes. The
+//! link update is a projection of the inboxes and one fused link-GRU step.
 
 use crate::batch::BatchedScenario;
 use crate::features::Normalizer;
@@ -66,16 +71,13 @@ impl Default for RouteNetConfig {
 }
 
 /// A scenario pre-compiled for the forward pass: message-passing index plus
-/// initial feature tensors and per-position keep masks.
+/// initial feature tensors.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
     /// Gather/scatter index.
     pub tensors: PathTensors,
     pub(crate) link_x: Tensor,
     pub(crate) path_x: Tensor,
-    /// `keep_masks[k]`: `n_paths x path_dim` 0/1 tensor, 0 where the path is
-    /// active at position k (its row is replaced by the GRU output).
-    pub(crate) keep_masks: Vec<Tensor>,
 }
 
 /// The RouteNet GNN with its parameters and fitted normalizer.
@@ -235,8 +237,8 @@ impl RouteNet {
             .then(|| 1 + self.config.predict_jitter as usize)
     }
 
-    /// Pre-compile a scenario: build the message-passing index, initial
-    /// feature tensors, and position masks. Reused across epochs.
+    /// Pre-compile a scenario: build the message-passing index and initial
+    /// feature tensors. Reused across epochs.
     pub fn compile(&self, scenario: &Scenario) -> CompiledScenario {
         self.compile_with_index(scenario, PathTensors::build(scenario))
     }
@@ -268,24 +270,10 @@ impl RouteNet {
                 0.0
             }
         });
-        let keep_masks = (0..tensors.max_len)
-            .map(|k| {
-                let active = tensors.active_mask(k);
-                Tensor::from_fn(tensors.n_paths, self.config.path_state_dim, |r, _| {
-                    // lint: allow(panic, reason = "active_mask returns one flag per path row, r < n_paths")
-                    if active[r] {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                })
-            })
-            .collect();
         CompiledScenario {
             tensors,
             link_x,
             path_x,
-            keep_masks,
         }
     }
 
@@ -304,18 +292,22 @@ impl RouteNet {
         let mut path_state = sess.input_copied(batch.path_x());
 
         for _ in 0..self.config.t_iterations {
+            // The path cell's input projection of every link state, once per
+            // iteration; each position's step gathers the rows it needs.
+            let link_proj = self.path_cell.project(sess, link_state);
             let mut link_inbox: Option<Var> = None;
             for k in 0..batch.max_len {
                 let pos = batch.position(k);
-                let x = sess.tape.gather_rows(link_state, &pos.link_idx);
-                let h = sess.tape.gather_rows(path_state, &pos.path_idx);
-                let h_new = self.path_cell.step(sess, x, h, &pos.seg);
+                let h_new = self.path_cell.step(
+                    sess,
+                    link_proj,
+                    Some(&pos.link_idx),
+                    path_state,
+                    Some(&pos.path_idx),
+                    &pos.seg,
+                );
                 // Replace the active rows of the path state.
-                let kept = sess.tape.mul_const_shared(path_state, batch.keep_mask(k));
-                let scattered = sess
-                    .tape
-                    .scatter_add_rows(h_new, &pos.path_idx, batch.n_paths);
-                path_state = sess.tape.add(kept, scattered);
+                path_state = sess.tape.overwrite_rows(path_state, &pos.path_idx, h_new);
                 // The per-position GRU outputs are the messages m_{p,l}.
                 let msg = sess
                     .tape
@@ -326,9 +318,10 @@ impl RouteNet {
                 });
             }
             if let Some(inbox) = link_inbox {
-                link_state = self
-                    .link_cell
-                    .step(sess, inbox, link_state, batch.link_seg());
+                let inbox_proj = self.link_cell.project(sess, inbox);
+                link_state =
+                    self.link_cell
+                        .step(sess, inbox_proj, None, link_state, None, batch.link_seg());
             }
         }
         self.readout.forward(sess, path_state, batch.path_seg())

@@ -694,9 +694,11 @@ pub fn train_with_control(
 
     // Arena story: one tape per training worker plus one for evaluation
     // passes, all owned here so their buffer pools persist across batches
-    // and epochs — after the first pass the steady-state loop allocates
-    // nothing. Workers take their tape by slot, so the arena a sub-batch
-    // replays into is deterministic.
+    // and epochs. A pass draws every value buffer from its pool; one whose
+    // shapes differ from the previous pass's (other samples in the chunk)
+    // may grow some of them, which `train.arena_reuse_grows` counts.
+    // Workers take their tape by slot, so the arena a sub-batch replays
+    // into is deterministic.
     let mut arenas: Vec<Tape> = (0..resolve_threads(cfg.threads).max(1))
         .map(|_| Tape::new())
         .collect();
@@ -915,18 +917,22 @@ pub fn train_with_control(
     }
 
     // Arena telemetry: high-water tape footprint across all worker and
-    // eval arenas, plus how often a pass was served from recycled buffers.
-    // Steady-state health check: hits should dwarf misses after epoch one.
+    // eval arenas, plus how often a pass was served from recycled buffers
+    // (hits), drew a recycled buffer too small for it (grows — minibatches
+    // of different samples record different shapes) or found the pool
+    // empty (misses).
     if cfg.telemetry.enabled() {
         let tapes = arenas.iter().chain(std::iter::once(&eval_arena));
         let mut max_nodes = 0usize;
         let mut max_scalars = 0usize;
         let mut hits = 0u64;
+        let mut grows = 0u64;
         let mut misses = 0u64;
         for t in tapes {
             max_nodes = max_nodes.max(t.max_nodes());
             max_scalars = max_scalars.max(t.max_scalars());
             hits += t.reuse_hits();
+            grows += t.reuse_grows();
             misses += t.reuse_misses();
         }
         cfg.telemetry
@@ -934,6 +940,7 @@ pub fn train_with_control(
         cfg.telemetry
             .gauge_set("train.tape_max_scalars", max_scalars as f64);
         cfg.telemetry.counter_add("train.arena_reuse_hits", hits);
+        cfg.telemetry.counter_add("train.arena_reuse_grows", grows);
         cfg.telemetry
             .counter_add("train.arena_reuse_misses", misses);
     }
@@ -1456,6 +1463,10 @@ mod tests {
         assert!(tel.gauge("train.tape_max_scalars").unwrap_or(0.0) > 0.0);
         // Every pass after the very first replays into recycled buffers.
         assert!(tel.counter("train.arena_reuse_hits") > 0);
+        // Grows are reported next to hits and misses (zero here: the
+        // largest chunk comes first, so later passes never outgrow a buffer).
+        assert!(tel.summary_table().contains("train.arena_reuse_grows"));
+        assert_eq!(tel.counter("train.arena_reuse_grows"), 0);
         assert!(tel.histogram_summary("train.epoch_s").is_some());
         std::fs::remove_file(&path).ok();
     }

@@ -1,7 +1,8 @@
 //! Neural-network layers: dense, MLP, and the GRU cell at RouteNet's core.
 
+use crate::gru::GruParams;
 use crate::params::{ParamId, ParamStore, Session};
-use crate::plan::SegmentPlan;
+use crate::plan::{IndexPlan, SegmentPlan};
 use crate::tape::Var;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -204,13 +205,9 @@ impl GruCell {
         }
     }
 
-    /// One step over the samples of `seg`: `x` is `rows x in_dim`, `h` is
-    /// `rows x hid_dim`; returns the new `rows x hid_dim` hidden state. All
-    /// six weight matmuls and three bias adds are segment ops, so
-    /// per-sample gradients stay separable in a concatenated batch.
-    pub fn step(&self, sess: &mut Session, x: Var, h: Var, seg: &SegmentPlan) -> Var {
-        debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "GRU input width");
-        debug_assert_eq!(sess.tape.value(h).cols(), self.hid_dim, "GRU hidden width");
+    /// Bind the cell's nine weights on `sess` (the session memoizes the
+    /// binding, so every step of a pass shares one leaf per weight).
+    fn params(&self, sess: &mut Session) -> GruParams {
         let (wz, uz, bz) = (
             sess.param(self.wz),
             sess.param(self.uz),
@@ -226,31 +223,43 @@ impl GruCell {
             sess.param(self.uh),
             sess.param(self.bh),
         );
+        GruParams {
+            w: [wz, wr, wh],
+            u: [uz, ur, uh],
+            b: [bz, br, bh],
+        }
+    }
 
-        let t = &mut sess.tape;
-        let xwz = t.seg_matmul(x, wz, seg);
-        let huz = t.seg_matmul(h, uz, seg);
-        let zs = t.add(xwz, huz);
-        let zs = t.seg_add_row(zs, bz, seg);
-        let z = t.sigmoid(zs);
+    /// Input projection `x · [Wz|Wr|Wh]` of every row of `x`
+    /// (`rows x in_dim`), the first operand of [`GruCell::step`]. Project
+    /// once and let several steps read rows of it: RouteNet projects the
+    /// link states once per iteration and every hop position gathers its
+    /// rows.
+    pub fn project(&self, sess: &mut Session, x: Var) -> Var {
+        debug_assert_eq!(sess.tape.value(x).cols(), self.in_dim, "GRU input width");
+        let p = self.params(sess);
+        sess.tape.gru_project(x, &p)
+    }
 
-        let xwr = t.seg_matmul(x, wr, seg);
-        let hur = t.seg_matmul(h, ur, seg);
-        let rs = t.add(xwr, hur);
-        let rs = t.seg_add_row(rs, br, seg);
-        let r = t.sigmoid(rs);
-
-        let rh = t.mul(r, h);
-        let xwh = t.seg_matmul(x, wh, seg);
-        let rhuh = t.seg_matmul(rh, uh, seg);
-        let cs = t.add(xwh, rhuh);
-        let cs = t.seg_add_row(cs, bh, seg);
-        let c = t.tanh(cs);
-
-        let zi = t.one_minus(z);
-        let keep = t.mul(zi, h);
-        let take = t.mul(z, c);
-        t.add(keep, take)
+    /// One step over the samples of `seg`, recorded as a single fused tape
+    /// op ([`crate::tape::Tape::gru_step`]). The inputs are the rows of
+    /// `xw` (a [`GruCell::project`] of this cell) and of the previous state
+    /// `h` — all rows in order, or the rows an index plan selects. Returns
+    /// the new `seg.total() x hid_dim` state. Weight gradients land in
+    /// per-segment slots, so per-sample gradients stay separable in a
+    /// concatenated batch.
+    pub fn step(
+        &self,
+        sess: &mut Session,
+        xw: Var,
+        x_rows: Option<&IndexPlan>,
+        h: Var,
+        h_rows: Option<&IndexPlan>,
+        seg: &SegmentPlan,
+    ) -> Var {
+        debug_assert_eq!(sess.tape.value(h).cols(), self.hid_dim, "GRU hidden width");
+        let p = self.params(sess);
+        sess.tape.gru_step(xw, x_rows, h, h_rows, &p, seg)
     }
 
     /// Input width.
@@ -330,8 +339,9 @@ mod tests {
         let x = sess.input(Tensor::full(2, 3, 10.0)); // large inputs
         let mut h = sess.input(Tensor::zeros(2, 5));
         let seg = SegmentPlan::singleton(2);
+        let xw = gru.project(&mut sess, x);
         for _ in 0..10 {
-            h = gru.step(&mut sess, x, h, &seg);
+            h = gru.step(&mut sess, xw, None, h, None, &seg);
         }
         assert!(sess.tape.value(h).max_abs() <= 1.0 + 1e-12);
     }
@@ -349,7 +359,8 @@ mod tests {
         let x = sess.input(Tensor::full(1, 2, 0.3));
         let h0t = Tensor::from_vec(1, 3, vec![0.5, -0.2, 0.9]);
         let h0 = sess.input(h0t.clone());
-        let h1 = gru.step(&mut sess, x, h0, &SegmentPlan::singleton(1));
+        let xw = gru.project(&mut sess, x);
+        let h1 = gru.step(&mut sess, xw, None, h0, None, &SegmentPlan::singleton(1));
         for (a, b) in sess.tape.value(h1).data().iter().zip(h0t.data()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
@@ -364,8 +375,9 @@ mod tests {
         let x = sess.input(Tensor::full(4, 2, 0.5));
         let h0 = sess.input(Tensor::full(4, 3, 0.1));
         let seg = SegmentPlan::singleton(4);
-        let h1 = gru.step(&mut sess, x, h0, &seg);
-        let h2 = gru.step(&mut sess, x, h1, &seg); // reuse cell: grads must merge
+        let xw = gru.project(&mut sess, x);
+        let h1 = gru.step(&mut sess, xw, None, h0, None, &seg);
+        let h2 = gru.step(&mut sess, xw, None, h1, None, &seg); // reuse cell: grads must merge
         let loss = sess.tape.mean_all(h2);
         let grads = sess.tape.backward(loss);
         let pg = sess.param_grads_seg(&grads, 1).remove(0);

@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+mod gru;
 pub mod layers;
 pub mod optim;
 pub mod params;
@@ -52,6 +53,7 @@ pub mod tensor;
 
 /// Convenient glob-import surface.
 pub mod prelude {
+    pub use crate::gru::GruParams;
     pub use crate::layers::{Activation, Dense, GruCell, Mlp};
     pub use crate::optim::{clip_global_norm, Adam, Sgd};
     pub use crate::params::{GradAccumulator, ParamId, ParamStore, Session};
@@ -60,6 +62,7 @@ pub mod prelude {
     pub use crate::tensor::Tensor;
 }
 
+pub use gru::GruParams;
 pub use layers::{Activation, Dense, GruCell, Mlp};
 pub use optim::{Adam, Sgd};
 pub use params::{GradAccumulator, ParamId, ParamStore, Session};

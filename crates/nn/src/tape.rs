@@ -2,12 +2,12 @@
 //!
 //! A [`Tape`] records every operation eagerly (define-by-run); calling
 //! [`Tape::backward`] walks the tape in reverse accumulating gradients.
-//! The op set is exactly what RouteNet's message passing needs, including
-//! the two structural ops that encode the graph: [`Tape::gather_rows`]
-//! (read link states along each path) and [`Tape::scatter_add_rows`]
-//! (aggregate per-hop messages into per-link inboxes). Both take a shared
-//! [`IndexPlan`] built once per batch, so recording them never copies an
-//! index vector.
+//! The op set is exactly what RouteNet's message passing needs. The graph
+//! enters through shared [`IndexPlan`]s built once per batch: a fused GRU
+//! step reads link and path rows through them, [`Tape::overwrite_rows`]
+//! writes the updated path rows back, and [`Tape::scatter_add_rows`]
+//! aggregates per-hop messages into per-link inboxes ([`Tape::gather_rows`]
+//! is the plain gather). Recording an op never copies an index vector.
 //!
 //! Every op's gradient is validated against central finite differences in
 //! this crate's test suite.
@@ -15,12 +15,27 @@
 //! # Arena reuse
 //!
 //! A tape can be recycled across forward/backward passes with
-//! [`Tape::reset`]: node value buffers are drained into an internal pool and
-//! handed back out by the next pass's ops in allocation order. Because a
-//! training loop replays the same op sequence every iteration, the pool
-//! reaches a steady state after the first pass and the hot loop performs no
-//! further value-buffer heap allocation. See DESIGN.md "Batched execution &
-//! memory arenas".
+//! [`Tape::reset`]: node value buffers (and the activations a fused op saves
+//! for backward) are drained into an internal FIFO pool and handed back out
+//! by the next pass's ops in allocation order. A pass that replays the
+//! previous pass's op sequence at the same shapes gets every buffer back at
+//! the capacity it needs and allocates no value buffer at all. A pass with
+//! other shapes (a minibatch of other samples, a different serving batch)
+//! still draws from the pool, but a drawn buffer that is too small has to
+//! grow: [`Tape::reuse_grows`] counts those, next to [`Tape::reuse_hits`]
+//! and [`Tape::reuse_misses`]. See DESIGN.md "Batched execution & memory
+//! arenas".
+//!
+//! # Segment ops
+//!
+//! # Fused GRU step
+//!
+//! [`Tape::gru_project`] and [`Tape::gru_step`] record a GRU update as one
+//! projection node and one step node whose backward is written by hand
+//! (`crate::gru`); [`Tape::overwrite_rows`] replaces the rows a step updated.
+//! Their values, gradients and poisoning are bitwise those of the same
+//! update recorded as primitive ops, which the tests keep as the oracle
+//! (`fused_gru_matches_primitive_composite_bitwise`).
 //!
 //! # Segment ops
 //!
@@ -36,8 +51,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::gru::{self, GruParams, Rows, Saved};
 use crate::plan::{IndexPlan, SegmentPlan};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_rows, Tensor};
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +100,28 @@ enum Op {
     Mse(Var, Tensor),
     /// Mean absolute error against a constant target.
     Mae(Var, Tensor),
+    /// GRU input projection `x · [Wz|Wr|Wh]` (see [`Tape::gru_project`]).
+    /// No backward of its own: the [`Op::GruStep`]s that read it form the
+    /// gradients for `x` and the weights from the rows they read.
+    GruProject(Var, [Var; 3]),
+    /// Fused GRU step (see [`Tape::gru_step`]), boxed to keep `Op` small.
+    GruStep(Box<GruStep>),
+    /// `out = a` with row `plan[i]` replaced by row `i` of `b`.
+    OverwriteRows(Var, Var, IndexPlan),
+}
+
+/// Operands and saved activations of one fused GRU step.
+#[derive(Debug)]
+struct GruStep {
+    /// The input whose projection the step read: backward forms the input
+    /// weights' gradients from its rows and sends `∂x` to it.
+    x: Var,
+    x_rows: Option<IndexPlan>,
+    h: Var,
+    h_rows: Option<IndexPlan>,
+    params: GruParams,
+    seg: SegmentPlan,
+    saved: Saved,
 }
 
 struct Node {
@@ -101,6 +139,7 @@ pub struct Tape {
     /// sequence gets each buffer back at exactly the right capacity.
     pool: VecDeque<Vec<f64>>,
     reuse_hits: u64,
+    reuse_grows: u64,
     reuse_misses: u64,
     max_nodes: usize,
     max_scalars: usize,
@@ -120,6 +159,12 @@ impl Tape {
         self.max_scalars = self.max_scalars.max(self.value_scalars());
         for node in self.nodes.drain(..) {
             self.pool.push_back(node.value.into_data());
+            if let Op::GruStep(step) = node.op {
+                let Saved { z, r, rh, c } = step.saved;
+                for t in [z, r, rh, c] {
+                    self.pool.push_back(t.into_data());
+                }
+            }
         }
         self.poisoned = false;
     }
@@ -128,7 +173,11 @@ impl Tape {
     fn alloc_tensor(&mut self, rows: usize, cols: usize) -> Tensor {
         match self.pool.pop_front() {
             Some(buf) => {
-                self.reuse_hits += 1;
+                if buf.capacity() < rows * cols {
+                    self.reuse_grows += 1;
+                } else {
+                    self.reuse_hits += 1;
+                }
                 Tensor::from_buffer(rows, cols, buf)
             }
             None => {
@@ -138,20 +187,42 @@ impl Tape {
         }
     }
 
-    /// Bound the arena pool to at most `max_buffers` recycled buffers,
-    /// dropping the *largest* ones first. A training loop replays one op
-    /// sequence and wants the whole pool; a long-lived server replays
-    /// variable-size batches, so after one large burst the pool would pin
-    /// the high-water memory forever. Dropping the largest buffers releases
-    /// the burst memory while keeping warm buffers for steady-state batches.
-    pub fn trim_pool(&mut self, max_buffers: usize) {
-        if self.pool.len() <= max_buffers {
+    /// Bound the arena pool to `max_scalars` scalars of buffer capacity,
+    /// dropping the *largest* buffers first and keeping the rest in their
+    /// FIFO order. A training loop replays one op sequence and wants the
+    /// whole pool; a long-lived server replays variable-size batches, so
+    /// after one large burst the pool would pin the high-water memory
+    /// forever. Dropping the largest buffers releases the burst memory while
+    /// keeping warm buffers for steady-state batches.
+    pub fn trim_pool(&mut self, max_scalars: usize) {
+        let mut total = self.pool_scalars();
+        if total <= max_scalars {
             return;
         }
-        let mut bufs: Vec<Vec<f64>> = self.pool.drain(..).collect();
-        bufs.sort_by_key(|b| b.capacity());
-        bufs.truncate(max_buffers);
-        self.pool.extend(bufs);
+        let mut caps: Vec<usize> = self.pool.iter().map(Vec::capacity).collect();
+        caps.sort_unstable_by(|a, b| b.cmp(a));
+        // Drop every buffer larger than `cut`, and the first `ties` of
+        // exactly `cut`, where `cut` is the smallest capacity that must go.
+        let (mut cut, mut ties) = (0, 0);
+        for cap in caps {
+            if total <= max_scalars {
+                break;
+            }
+            total -= cap;
+            if cap == cut {
+                ties += 1;
+            } else {
+                (cut, ties) = (cap, 1);
+            }
+        }
+        self.pool.retain(|b| {
+            let cap = b.capacity();
+            let drop = cap > cut || (cap == cut && ties > 0);
+            if cap == cut && drop {
+                ties -= 1;
+            }
+            !drop
+        });
     }
 
     /// Number of recycled value buffers currently held by the arena pool.
@@ -159,9 +230,21 @@ impl Tape {
         self.pool.len()
     }
 
-    /// Cumulative count of value buffers recycled from the arena pool.
+    /// Total capacity, in scalars, of the buffers the arena pool holds.
+    pub fn pool_scalars(&self) -> usize {
+        self.pool.iter().map(Vec::capacity).sum()
+    }
+
+    /// Cumulative count of value buffers recycled from the arena pool at a
+    /// capacity that already fit.
     pub fn reuse_hits(&self) -> u64 {
         self.reuse_hits
+    }
+
+    /// Cumulative count of value buffers drawn from the arena pool that were
+    /// too small and had to grow — a heap allocation despite the pool.
+    pub fn reuse_grows(&self) -> u64 {
+        self.reuse_grows
     }
 
     /// Cumulative count of value buffers that had to be freshly allocated.
@@ -197,12 +280,25 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Total number of scalars held in node values — the working-set size
-    /// of one recorded forward pass. Together with [`Tape::len`] this is
-    /// the telemetry probe for per-sample autodiff cost: node count tracks
-    /// op dispatch overhead, scalar count tracks memory traffic.
+    /// Total number of scalars held in node values and in the activations
+    /// fused ops save for backward — the working-set size of one recorded
+    /// forward pass. Together with [`Tape::len`] this is the telemetry
+    /// probe for per-sample autodiff cost: node count tracks op dispatch
+    /// overhead, scalar count tracks memory traffic.
     pub fn value_scalars(&self) -> usize {
-        self.nodes.iter().map(|n| n.value.len()).sum()
+        self.nodes
+            .iter()
+            .map(|n| {
+                let saved = match &n.op {
+                    Op::GruStep(step) => {
+                        let s = &step.saved;
+                        s.z.len() + s.r.len() + s.rh.len() + s.c.len()
+                    }
+                    _ => 0,
+                };
+                n.value.len() + saved
+            })
+            .sum()
     }
 
     /// Value of a node.
@@ -422,6 +518,162 @@ impl Tape {
             }
         }
         self.push(Op::ScatterAddRows(a, plan.clone()), v)
+    }
+
+    /// Replace rows: `out` is `a` except that row `rows[i]` is row `i` of
+    /// `b`. Each row may be named at most once. This is the path-state
+    /// update of a message-passing position. Kept rows are computed as
+    /// `a * 1.0 + 0.0` and replaced rows as `a * 0.0 + (0.0 + b)`, exactly
+    /// what a 0/1 keep-mask product, a scatter-add and an add give, signed
+    /// zeros and NaNs included (`overwrite_rows_matches_mask_scatter_add_bitwise`).
+    pub fn overwrite_rows(&mut self, a: Var, rows: &IndexPlan, b: Var) -> Var {
+        let (ar, ac) = self.value(a).shape();
+        assert_eq!(
+            self.value(b).shape(),
+            (rows.len(), ac),
+            "overwrite_rows needs one source row per index"
+        );
+        for &i in rows.indices() {
+            assert!(i < ar, "overwrite index {i} out of {ar} rows");
+        }
+        let mut v = self.alloc_tensor(ar, ac);
+        let av = self.value(a);
+        let bv = self.value(b);
+        for (o, &x) in v.data_mut().iter_mut().zip(av.data()) {
+            *o = x * 1.0 + 0.0;
+        }
+        for (r, &i) in rows.indices().iter().enumerate() {
+            for ((o, &x), &y) in v.row_mut(i).iter_mut().zip(av.row(i)).zip(bv.row(r)) {
+                *o = x * 0.0 + (0.0 + y);
+            }
+        }
+        self.push(Op::OverwriteRows(a, b, rows.clone()), v)
+    }
+
+    /// GRU input projection: `x · [Wz|Wr|Wh]` for every row of `x`, a
+    /// `rows x 3·hid` value that [`Tape::gru_step`] reads (row by row, or
+    /// through an index plan). A row's product does not depend on which
+    /// other rows are present, so projecting all rows once and gathering
+    /// the products gives bitwise the products of the gathered rows.
+    ///
+    /// The value is not checked for finiteness here: the steps that read it
+    /// check the rows they use, which is exactly what the unfused
+    /// per-position products would have checked.
+    pub fn gru_project(&mut self, x: Var, p: &GruParams) -> Var {
+        let (rows, in_dim) = self.value(x).shape();
+        let [wz, ..] = p.w;
+        let hid = self.value(wz).cols();
+        for w in p.w {
+            assert_eq!(
+                self.value(w).shape(),
+                (in_dim, hid),
+                "gru_project weight shape"
+            );
+        }
+        let mut v = self.alloc_tensor(rows, 3 * hid);
+        let xv = self.value(x);
+        for (gate, w) in p.w.iter().enumerate() {
+            matmul_rows(
+                xv.row_iter(),
+                self.value(*w),
+                v.data_mut(),
+                3 * hid,
+                gate * hid,
+            );
+        }
+        self.nodes.push(Node {
+            op: Op::GruProject(x, p.w),
+            value: v,
+        });
+        Var(self.nodes.len() - 1)
+    }
+
+    /// One fused GRU step (Cho et al. 2014) over the rows of `seg`:
+    ///
+    /// ```text
+    /// z = sigmoid(x Wz + h Uz + bz)    r = sigmoid(x Wr + h Ur + br)
+    /// c = tanh(x Wh + (r ⊙ h) Uh + bh)     h' = (1 - z) ⊙ h + z ⊙ c
+    /// ```
+    ///
+    /// `xw` is a [`Tape::gru_project`] of `x` with the same weights; the
+    /// step reads its rows in order, or the rows `x_rows` selects. `h` rows
+    /// are likewise all of `h`, or the rows `h_rows` selects. Returns the
+    /// `seg.total() x hid` new state.
+    ///
+    /// The node keeps only `z`, `r`, `r ⊙ h` and `c` for backward. Forward
+    /// values, the gradients to `x` and `h` (scattered back through the
+    /// index plans the way [`Tape::gather_rows`] does) and the per-segment
+    /// parameter gradients are bitwise those of the same formulas recorded
+    /// as primitive ops, provided `x` and `h` (or their gathers) have no
+    /// later consumers, as in RouteNet's message passing. The tape is
+    /// poisoned whenever any intermediate of that composite would have been
+    /// non-finite.
+    pub fn gru_step(
+        &mut self,
+        xw: Var,
+        x_rows: Option<&IndexPlan>,
+        h: Var,
+        h_rows: Option<&IndexPlan>,
+        p: &GruParams,
+        seg: &SegmentPlan,
+    ) -> Var {
+        let projected_from = match self.nodes.get(xw.0).map(|n| &n.op) {
+            Some(Op::GruProject(x, w)) if *w == p.w => Some(*x),
+            _ => None,
+        };
+        // lint: allow(panic, reason = "programming error: the step must read its own cell's projection")
+        let x = projected_from.expect("gru_step input must be a gru_project with the same weights");
+        let [uz, ..] = p.u;
+        let hid = self.value(uz).rows();
+        assert!(hid > 0, "gru_step needs a non-empty hidden state");
+        let n = seg.total();
+        let xw_rows = self.value(xw).rows();
+        let h_shape = self.value(h).shape();
+        assert_eq!(self.value(xw).cols(), 3 * hid, "gru_step projection width");
+        assert_eq!(h_shape.1, hid, "gru_step hidden width");
+        for (plan, src_rows) in [(x_rows, xw_rows), (h_rows, h_shape.0)] {
+            match plan {
+                Some(plan) => {
+                    assert_eq!(plan.len(), n, "gru_step segment coverage mismatch");
+                    for &i in plan.indices() {
+                        assert!(i < src_rows, "gru_step index {i} out of {src_rows} rows");
+                    }
+                }
+                None => assert_eq!(src_rows, n, "gru_step segment coverage mismatch"),
+            }
+        }
+        for (u, b) in p.u.iter().zip(&p.b) {
+            assert_eq!(self.value(*u).shape(), (hid, hid), "gru_step U shape");
+            assert_eq!(self.value(*b).shape(), (1, hid), "gru_step bias shape");
+        }
+        let mut saved = Saved {
+            z: self.alloc_tensor(n, hid),
+            r: self.alloc_tensor(n, hid),
+            rh: self.alloc_tensor(n, hid),
+            c: self.alloc_tensor(n, hid),
+        };
+        let mut out = self.alloc_tensor(n, hid);
+        let finite = gru::forward(
+            Rows::new(self.value(xw), x_rows.map(IndexPlan::indices)),
+            Rows::new(self.value(h), h_rows.map(IndexPlan::indices)),
+            p.u.map(|v| self.value(v)),
+            p.b.map(|v| self.value(v)),
+            &mut saved,
+            &mut out,
+        );
+        if !finite {
+            self.poisoned = true;
+        }
+        let step = GruStep {
+            x,
+            x_rows: x_rows.cloned(),
+            h,
+            h_rows: h_rows.cloned(),
+            params: *p,
+            seg: seg.clone(),
+            saved,
+        };
+        self.push(Op::GruStep(Box::new(step)), out)
     }
 
     /// Batched matrix product `a * b` where `a`'s rows are the concatenation
@@ -669,11 +921,11 @@ impl Tape {
         };
         let node = &self.nodes[i]; // lint: allow(panic, reason = "i bounds-checked by the debug_assert above, see INVARIANT")
         match &node.op {
-            Op::Leaf => {}
+            Op::Leaf | Op::GruProject(..) => {}
             Op::MatMul(a, b) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
-                add_to(grads, *a, g.matmul(&bv.transpose()));
+                add_to(grads, *a, g.matmul_t(bv));
                 // matmul_t_rows over the full row range is bitwise identical
                 // to `av.transpose().matmul(g)` minus the transpose copy.
                 add_to(grads, *b, av.matmul_t_rows(g, 0, av.rows()));
@@ -698,10 +950,10 @@ impl Tape {
                 add_to(grads, *b, g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                let av = self.value(*a).clone();
-                let bv = self.value(*b).clone();
-                add_to(grads, *a, g.zip(&bv, |x, y| x * y));
-                add_to(grads, *b, g.zip(&av, |x, y| x * y));
+                let av = self.value(*a);
+                let bv = self.value(*b);
+                add_to(grads, *a, g.zip(bv, |x, y| x * y));
+                add_to(grads, *b, g.zip(av, |x, y| x * y));
             }
             Op::Affine(a, alpha, _beta) => {
                 add_to(grads, *a, g.map(|x| alpha * x));
@@ -715,11 +967,11 @@ impl Tape {
                 add_to(grads, *a, g.zip(y, |gx, yx| gx * (1.0 - yx * yx)));
             }
             Op::Relu(a) => {
-                let x = self.value(*a).clone();
+                let x = self.value(*a);
                 add_to(
                     grads,
                     *a,
-                    g.zip(&x, |gx, xv| if xv > 0.0 { gx } else { 0.0 }),
+                    g.zip(x, |gx, xv| if xv > 0.0 { gx } else { 0.0 }),
                 );
             }
             Op::ConcatCols(a, b) => {
@@ -732,13 +984,7 @@ impl Tape {
             }
             Op::GatherRows(a, plan) => {
                 let rows = self.value(*a).rows();
-                let mut ga = Tensor::zeros(rows, g.cols());
-                for (r, &i) in plan.indices().iter().enumerate() {
-                    for c in 0..g.cols() {
-                        ga.set(i, c, ga.get(i, c) + g.get(r, c));
-                    }
-                }
-                add_to(grads, *a, ga);
+                add_to(grads, *a, scatter_rows(g, plan.indices(), rows));
             }
             Op::ScatterAddRows(a, plan) => {
                 let mut ga = Tensor::zeros(plan.len(), g.cols());
@@ -753,7 +999,7 @@ impl Tape {
             Op::SegMatMul(a, b, plan) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
-                add_to(grads, *a, g.matmul(&bv.transpose()));
+                add_to(grads, *a, g.matmul_t(bv));
                 // Weight gradient per segment: the slice product
                 // a[lo..hi]^T * g[lo..hi] is exactly the per-sample
                 // `av.transpose().matmul(g)` for that sample's rows. Empty
@@ -861,8 +1107,65 @@ impl Tape {
                 let gp = pv.zip(target, |a, b| (a - b).signum() * s / n);
                 add_to(grads, *p, gp);
             }
+            Op::GruStep(step) => {
+                let x_idx = step.x_rows.as_ref().map(IndexPlan::indices);
+                let h_idx = step.h_rows.as_ref().map(IndexPlan::indices);
+                let p = &step.params;
+                let n_seg = step.seg.n_segments();
+                let d = gru::backward(
+                    g,
+                    Rows::new(self.value(step.x), x_idx),
+                    Rows::new(self.value(step.h), h_idx),
+                    gru::Weights {
+                        params: p,
+                        w: p.w.map(|v| self.value(v)),
+                        u: p.u.map(|v| self.value(v)),
+                    },
+                    &step.saved,
+                    &step.seg,
+                    |s, v, delta| add_seg(seg, v, s, n_seg, delta),
+                );
+                // The composite gathered x before h, so its reverse pass
+                // scattered h's gradient first.
+                for (v, idx, delta) in [(step.h, h_idx, d.dh), (step.x, x_idx, d.dx)] {
+                    let delta = match idx {
+                        Some(idx) => scatter_rows(&delta, idx, self.value(v).rows()),
+                        None => delta,
+                    };
+                    add_to(grads, v, delta);
+                }
+            }
+            Op::OverwriteRows(a, b, plan) => {
+                // The replaced rows' gradient goes to `b`, row for row (the
+                // composite's scatter backward)...
+                let mut gb = Tensor::zeros(plan.len(), g.cols());
+                for (r, &i) in plan.indices().iter().enumerate() {
+                    gb.copy_row_from(r, g, i);
+                }
+                add_to(grads, *b, gb);
+                // ...and `a` gets `g` times the composite's 0/1 keep mask.
+                let mut ga = g.map(|x| x * 1.0);
+                for &i in plan.indices() {
+                    for (o, &x) in ga.row_mut(i).iter_mut().zip(g.row(i)) {
+                        *o = x * 0.0;
+                    }
+                }
+                add_to(grads, *a, ga);
+            }
         }
     }
+}
+
+/// `GatherRows` backward: a `rows x g.cols()` zero tensor with row `r` of
+/// `g` added into row `idx[r]`, in ascending `r`.
+fn scatter_rows(g: &Tensor, idx: &[usize], rows: usize) -> Tensor {
+    let mut out = Tensor::zeros(rows, g.cols());
+    for (r, &i) in idx.iter().enumerate() {
+        for (o, &v) in out.row_mut(i).iter_mut().zip(g.row(r)) {
+            *o += v;
+        }
+    }
+    out
 }
 
 /// Result of a backward pass.
@@ -913,8 +1216,11 @@ mod tests {
         let grads = tape.backward(loss);
         let eps = 1e-6;
         for (li, leaf) in leaves.iter().enumerate() {
+            // Weights of segment ops carry their gradient in segment slots;
+            // the checks below use single-segment plans.
             let analytic = grads
                 .get(vars[li])
+                .or_else(|| grads.seg_get(vars[li], 0))
                 .unwrap_or_else(|| panic!("leaf {li} got no gradient"))
                 .clone();
             for e in 0..leaf.len() {
@@ -1141,6 +1447,288 @@ mod tests {
         );
     }
 
+    /// GRU weights as leaves `first..first + 9` of a tape, in the order
+    /// `gru_leaf_tensors` lists them.
+    fn gru_params(first: usize) -> GruParams {
+        let v = |k: usize| Var(first + k);
+        GruParams {
+            w: [v(0), v(3), v(6)],
+            u: [v(1), v(4), v(7)],
+            b: [v(2), v(5), v(8)],
+        }
+    }
+
+    /// Random `Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh` (the binding order of
+    /// `GruCell::params`).
+    fn gru_leaf_tensors(in_dim: usize, hid: usize, seed: u64) -> Vec<Tensor> {
+        (0..9u64)
+            .map(|k| match k % 3 {
+                0 => rand_t(in_dim, hid, seed + k),
+                1 => rand_t(hid, hid, seed + k),
+                _ => rand_t(1, hid, seed + k),
+            })
+            .collect()
+    }
+
+    /// The primitive-op composite the fused GRU step replaced — the former
+    /// `GruCell::step` body, kept as the fused op's bitwise oracle.
+    fn composite_gru_step(t: &mut Tape, x: Var, h: Var, p: &GruParams, seg: &SegmentPlan) -> Var {
+        let ([wz, wr, wh], [uz, ur, uh], [bz, br, bh]) = (p.w, p.u, p.b);
+        let xwz = t.seg_matmul(x, wz, seg);
+        let huz = t.seg_matmul(h, uz, seg);
+        let zs = t.add(xwz, huz);
+        let zs = t.seg_add_row(zs, bz, seg);
+        let z = t.sigmoid(zs);
+
+        let xwr = t.seg_matmul(x, wr, seg);
+        let hur = t.seg_matmul(h, ur, seg);
+        let rs = t.add(xwr, hur);
+        let rs = t.seg_add_row(rs, br, seg);
+        let r = t.sigmoid(rs);
+
+        let rh = t.mul(r, h);
+        let xwh = t.seg_matmul(x, wh, seg);
+        let rhuh = t.seg_matmul(rh, uh, seg);
+        let cs = t.add(xwh, rhuh);
+        let cs = t.seg_add_row(cs, bh, seg);
+        let c = t.tanh(cs);
+
+        let zi = t.one_minus(z);
+        let keep = t.mul(zi, h);
+        let take = t.mul(z, c);
+        t.add(keep, take)
+    }
+
+    /// The fused step over `x`/`h` sources, gathering through the plans
+    /// when given.
+    fn fused_gru_step(
+        t: &mut Tape,
+        x: Var,
+        x_rows: Option<&IndexPlan>,
+        h: Var,
+        h_rows: Option<&IndexPlan>,
+        p: &GruParams,
+        seg: &SegmentPlan,
+    ) -> Var {
+        let xw = t.gru_project(x, p);
+        t.gru_step(xw, x_rows, h, h_rows, p, seg)
+    }
+
+    fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    /// The fused GRU step against the primitive composite, on a four-sample
+    /// plan with an empty segment, with the input and state rows read
+    /// directly or gathered (input rows repeating, as several paths cross
+    /// one link): forward values, input gradients and every per-segment
+    /// parameter gradient agree bit for bit.
+    #[test]
+    fn fused_gru_matches_primitive_composite_bitwise() {
+        let (in_dim, hid) = (3usize, 4usize);
+        let lens = [3usize, 0, 2, 4];
+        let seg = SegmentPlan::from_lens(&lens);
+        let n = seg.total();
+        let params = gru_leaf_tensors(in_dim, hid, 60);
+        // Exact zeros in the inputs and in the upstream gradient exercise
+        // the kernels' zero skip.
+        let mut x_src = rand_t(6, in_dim, 70);
+        x_src.set(1, 0, 0.0);
+        x_src.set(4, 2, 0.0);
+        let h_src = rand_t(11, hid, 71);
+        let up = Arc::new(Tensor::from_fn(n, hid, |r, c| {
+            if c == 1 || r == 4 {
+                0.0
+            } else {
+                ((r * 7 + c * 3) % 5) as f64 * 0.4 - 0.9
+            }
+        }));
+        let x_plan = IndexPlan::new(vec![0, 1, 4, 1, 5, 2, 2, 3, 1]);
+        let h_plan = IndexPlan::new(vec![10, 0, 7, 3, 1, 9, 2, 5, 6]);
+        let mut x_direct = rand_t(n, in_dim, 72);
+        x_direct.set(2, 1, 0.0);
+        for gathered in [false, true] {
+            let (xs, hs) = if gathered {
+                (x_src.clone(), h_src.clone())
+            } else {
+                (x_direct.clone(), h_src.rows_copy(0, n))
+            };
+            let record = |fused: bool| {
+                let mut t = Tape::new();
+                let vx = t.leaf(xs.clone());
+                let vh = t.leaf(hs.clone());
+                for p in &params {
+                    t.leaf(p.clone());
+                }
+                let p = gru_params(2);
+                let out = match (fused, gathered) {
+                    (true, true) => {
+                        fused_gru_step(&mut t, vx, Some(&x_plan), vh, Some(&h_plan), &p, &seg)
+                    }
+                    (true, false) => fused_gru_step(&mut t, vx, None, vh, None, &p, &seg),
+                    (false, true) => {
+                        let x = t.gather_rows(vx, &x_plan);
+                        let h = t.gather_rows(vh, &h_plan);
+                        composite_gru_step(&mut t, x, h, &p, &seg)
+                    }
+                    (false, false) => composite_gru_step(&mut t, vx, vh, &p, &seg),
+                };
+                let weighted = t.mul_const_shared(out, &up);
+                let loss = t.sum_all(weighted);
+                let grads = t.backward(loss);
+                assert!(!t.poisoned());
+                (t, out, grads, p, vx, vh)
+            };
+            let (ct, cout, cg, p, vx, vh) = record(false);
+            let (ft, fout, fg, _, _, _) = record(true);
+            let what = if gathered { "gathered" } else { "direct" };
+            assert_bits_eq(ft.value(fout), ct.value(cout), &format!("{what} forward"));
+            assert_bits_eq(
+                fg.get(vx).unwrap(),
+                cg.get(vx).unwrap(),
+                &format!("{what} dx"),
+            );
+            assert_bits_eq(
+                fg.get(vh).unwrap(),
+                cg.get(vh).unwrap(),
+                &format!("{what} dh"),
+            );
+            let all: Vec<Var> = p.w.into_iter().chain(p.u).chain(p.b).collect();
+            for v in all {
+                for (s, &len) in lens.iter().enumerate() {
+                    match (fg.seg_get(v, s), cg.seg_get(v, s)) {
+                        (Some(a), Some(b)) => {
+                            assert_bits_eq(a, b, &format!("{what} param {v:?} segment {s}"))
+                        }
+                        (None, None) => assert_eq!(len, 0, "non-empty segment {s} got no grad"),
+                        _ => panic!("{what} param {v:?} segment {s}: one side has no gradient"),
+                    }
+                }
+                assert!(fg.get(v).is_none() && cg.get(v).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn grad_fused_gru_step() {
+        let (in_dim, hid, n) = (3usize, 4usize, 5usize);
+        let seg = SegmentPlan::singleton(n);
+        for gathered in [false, true] {
+            let (x_plan, h_plan) = (
+                IndexPlan::new(vec![2, 0, 2, 3, 1]),
+                IndexPlan::new(vec![5, 1, 0, 4, 2]),
+            );
+            let mut leaves = if gathered {
+                vec![rand_t(4, in_dim, 80), rand_t(6, hid, 81)]
+            } else {
+                vec![rand_t(n, in_dim, 80), rand_t(n, hid, 81)]
+            };
+            leaves.extend(gru_leaf_tensors(in_dim, hid, 82));
+            let (s2, xp, hp) = (seg.clone(), x_plan.clone(), h_plan.clone());
+            grad_check(
+                move |tape, _| {
+                    let p = gru_params(2);
+                    let (xr, hr) = if gathered {
+                        (Some(&xp), Some(&hp))
+                    } else {
+                        (None, None)
+                    };
+                    let h1 = fused_gru_step(tape, Var(0), xr, Var(1), hr, &p, &s2);
+                    let act = tape.tanh(h1);
+                    tape.sum_all(act)
+                },
+                &leaves,
+                1e-5,
+            );
+        }
+    }
+
+    #[test]
+    fn grad_overwrite_rows() {
+        let a = rand_t(5, 3, 90);
+        let b = rand_t(2, 3, 91);
+        grad_check(
+            |tape, _| {
+                let (va, vb) = (Var(0), Var(1));
+                let o = tape.overwrite_rows(va, &IndexPlan::new(vec![3, 1]), vb);
+                let act = tape.tanh(o);
+                tape.sum_all(act)
+            },
+            &[a, b],
+            1e-6,
+        );
+    }
+
+    /// The overwrite reproduces the keep-mask/scatter/add composite's
+    /// arithmetic exactly, signed zeros and NaN included.
+    #[test]
+    fn overwrite_rows_matches_mask_scatter_add_bitwise() {
+        let a = Tensor::from_vec(3, 2, vec![-0.0, 1.5, f64::NAN, -0.0, f64::INFINITY, 2.0]);
+        let b = Tensor::from_vec(2, 2, vec![-0.0, 3.0, -1.0, -0.0]);
+        let rows = IndexPlan::new(vec![2, 0]);
+        let mask = Arc::new(Tensor::from_vec(3, 2, vec![0.0, 0.0, 1.0, 1.0, 0.0, 0.0]));
+        let mut t = Tape::new();
+        let (va, vb) = (t.leaf(a), t.leaf(b));
+        let kept = t.mul_const_shared(va, &mask);
+        let scattered = t.scatter_add_rows(vb, &rows, 3);
+        let composite = t.add(kept, scattered);
+        let fused = t.overwrite_rows(va, &rows, vb);
+        assert_bits_eq(t.value(fused), t.value(composite), "overwrite");
+    }
+
+    /// A non-finite gate pre-activation poisons the tape even though the
+    /// saturated sigmoid and tanh leave the step's output finite — as the
+    /// composite's intermediate nodes did.
+    #[test]
+    fn saturated_nonfinite_preactivation_still_poisons() {
+        let (in_dim, hid, n) = (2usize, 3usize, 2usize);
+        let seg = SegmentPlan::singleton(n);
+        let mut params = gru_leaf_tensors(in_dim, hid, 95);
+        for k in [0, 3, 6] {
+            params[k] = Tensor::full(in_dim, hid, 10.0);
+        }
+        let x = Tensor::full(n, in_dim, 1e308);
+        let h = rand_t(n, hid, 96);
+        for fused in [true, false] {
+            let mut t = Tape::new();
+            let vx = t.leaf(x.clone());
+            let vh = t.leaf(h.clone());
+            for p in &params {
+                t.leaf(p.clone());
+            }
+            assert!(!t.poisoned(), "leaves are finite");
+            let p = gru_params(2);
+            let out = if fused {
+                let xw = t.gru_project(vx, &p);
+                assert!(!t.poisoned(), "the projection alone does not poison");
+                t.gru_step(xw, None, vh, None, &p, &seg)
+            } else {
+                composite_gru_step(&mut t, vx, vh, &p, &seg)
+            };
+            assert!(
+                t.value(out).all_finite(),
+                "saturated gates give a finite state"
+            );
+            assert!(
+                t.poisoned(),
+                "fused={fused}: infinite pre-activation must poison"
+            );
+        }
+        // The same step on moderate inputs stays clean.
+        let mut t = Tape::new();
+        let vx = t.leaf(Tensor::full(n, in_dim, 0.5));
+        let vh = t.leaf(h);
+        for p in &params {
+            t.leaf(p.clone());
+        }
+        let p = gru_params(2);
+        fused_gru_step(&mut t, vx, None, vh, None, &p, &seg);
+        assert!(!t.poisoned());
+    }
+
     #[test]
     fn values_are_correct_for_simple_graph() {
         let mut tape = Tape::new();
@@ -1332,8 +1920,9 @@ mod tests {
         assert!(!t.poisoned());
     }
 
-    /// Server contract: `trim_pool` bounds the arena after a large burst,
-    /// dropping the largest buffers first, and stays usable afterwards.
+    /// Server contract: `trim_pool` bounds the arena's capacity after a
+    /// large burst, dropping the largest buffers first, and stays usable
+    /// afterwards.
     #[test]
     fn trim_pool_bounds_arena_and_drops_largest() {
         let mut tape = Tape::new();
@@ -1344,14 +1933,68 @@ mod tests {
         }
         tape.reset();
         assert_eq!(tape.pool_len(), 5);
-        tape.trim_pool(3);
+        assert_eq!(tape.pool_scalars(), 10_016);
+        // Within budget: untouched.
+        tape.trim_pool(10_016);
+        assert_eq!(tape.pool_len(), 5);
+        tape.trim_pool(12);
         assert_eq!(tape.pool_len(), 3);
+        assert_eq!(tape.pool_scalars(), 12);
         // The 10_000-scalar burst buffer is gone; survivors are small.
         assert!(tape.pool.iter().all(|b| b.capacity() < 10_000));
+        // Ties at the cut: drop only as many as the budget needs, and keep
+        // the survivors in FIFO order.
+        let mut fifo = Tape::new();
+        for (rows, fill) in [(3, 1.0), (2, 2.0), (3, 3.0), (1, 4.0), (3, 5.0)] {
+            fifo.leaf(Tensor::full(rows, 1, fill));
+        }
+        fifo.reset();
+        fifo.trim_pool(9);
+        let caps: Vec<usize> = fifo.pool.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, vec![2, 3, 1, 3]);
+        assert_eq!(fifo.pool_scalars(), 9);
         let small = tape.alloc_tensor(2, 2);
         assert_eq!(small.data().len(), 4);
         // Trimming to a larger bound is a no-op.
         tape.trim_pool(100);
         assert_eq!(tape.pool_len(), 2);
+    }
+
+    /// Arena counters: a pooled buffer that must grow is a `reuse_grows`,
+    /// not a hit; a same-shape replay is all hits.
+    #[test]
+    fn pooled_buffer_that_grows_is_counted_apart_from_hits() {
+        let run = |tape: &mut Tape, rows: usize| {
+            let a = tape.leaf_copied(&Tensor::full(rows, 3, 0.5));
+            let b = tape.tanh(a);
+            tape.sum_all(b);
+        };
+        let mut tape = Tape::new();
+        run(&mut tape, 2);
+        assert_eq!(
+            (tape.reuse_hits(), tape.reuse_grows(), tape.reuse_misses()),
+            (0, 0, 3)
+        );
+        tape.reset();
+        run(&mut tape, 2);
+        assert_eq!(
+            (tape.reuse_hits(), tape.reuse_grows(), tape.reuse_misses()),
+            (3, 0, 3)
+        );
+        // Wider rows: the leaf and tanh buffers (6 scalars) must grow to 30;
+        // the 1x1 sum buffer fits.
+        tape.reset();
+        run(&mut tape, 10);
+        assert_eq!(
+            (tape.reuse_hits(), tape.reuse_grows(), tape.reuse_misses()),
+            (4, 2, 3)
+        );
+        // Replaying the new shape draws grown buffers: no further growth.
+        tape.reset();
+        run(&mut tape, 10);
+        assert_eq!(
+            (tape.reuse_hits(), tape.reuse_grows(), tape.reuse_misses()),
+            (7, 2, 3)
+        );
     }
 }

@@ -182,9 +182,10 @@ impl Tensor {
         out
     }
 
-    /// Matrix product `self * rhs` written into `out` (which must already be
-    /// a zeroed `self.rows x rhs.cols` tensor). Single implementation shared
-    /// with `matmul` so pooled and non-pooled paths are bitwise identical.
+    /// Matrix product `self * rhs` written into `out`, a `self.rows x
+    /// rhs.cols` tensor whose contents are overwritten. Single
+    /// implementation shared with `matmul` so pooled and non-pooled paths
+    /// are bitwise identical.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
@@ -198,18 +199,51 @@ impl Tensor {
             (self.rows, rhs.cols),
             "matmul_into output shape mismatch"
         );
-        // i-k-j loop order: contiguous access on rhs and out rows.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
-                if a == 0.0 {
-                    continue;
+        let cols = out.cols;
+        matmul_rows(self.row_iter(), rhs, &mut out.data, cols, 0);
+    }
+
+    /// `self * rhs^T` without materializing the transpose: element `(i, j)`
+    /// is row `i` of `self` dotted with row `j` of `rhs`, accumulated over
+    /// k ascending with the exact-zero skip on `self` — bitwise
+    /// `self.matmul(&rhs.transpose())`. The data-gradient kernel of every
+    /// matmul backward.
+    pub(crate) fn matmul_t(&self, rhs: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, rhs.rows);
+        self.matmul_t_into(rhs, &mut out, false);
+        out
+    }
+
+    /// [`Tensor::matmul_t`] into `out`. With `accumulate`, each element
+    /// becomes `out + (self * rhs^T)`, the product formed in full before the
+    /// one add — what adding a separately computed product would give.
+    pub(crate) fn matmul_t_into(&self, rhs: &Tensor, out: &mut Tensor, accumulate: bool) {
+        assert_eq!(self.cols, rhs.cols, "matmul_t inner width mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, rhs.rows),
+            "matmul_t output shape mismatch"
+        );
+        if out.data.is_empty() {
+            return;
+        }
+        let k = self.cols;
+        for (a_row, out_row) in self.row_iter().zip(out.data.chunks_exact_mut(rhs.rows)) {
+            for (j0, out_block) in (0..rhs.rows).step_by(BLOCK).zip(out_row.chunks_mut(BLOCK)) {
+                let w = out_block.len();
+                let mut acc = [0.0; BLOCK];
+                for (kk, &a) in a_row.iter().enumerate() {
+                    // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let b_rows = rhs.data[j0 * k..].chunks_exact(k);
+                    for (o, b_row) in acc[..w].iter_mut().zip(b_rows) {
+                        *o += a * b_row[kk];
+                    }
                 }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
+                for (o, &v) in out_block.iter_mut().zip(&acc) {
+                    *o = if accumulate { *o + v } else { v };
                 }
             }
         }
@@ -228,26 +262,20 @@ impl Tensor {
             "matmul_t_rows range out of bounds"
         );
         let mut out = Tensor::zeros(self.cols, rhs.cols);
-        // i-k-j order over the *transposed* slice: k walks rows lo..hi
-        // ascending — the same accumulation order (and the same exact-zero
-        // sparsity skip) as the copy/transpose/matmul chain, so the result
-        // is bitwise identical to `self.transpose().matmul(rhs)` on the
-        // slice.
-        for i in 0..self.cols {
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for k in lo..hi {
-                let a = self.data[k * self.cols + i];
-                // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        let a = (lo..hi).map(|r| self.row(r));
+        let g = (lo..hi).map(|r| rhs.row(r));
+        matmul_t_rows_into(a, g, &mut out);
         out
+    }
+
+    /// Rows in order, as slices.
+    pub(crate) fn row_iter(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        (0..self.rows).map(move |r| self.row(r))
+    }
+
+    /// Mutably borrow row `r` as a slice.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Transposed copy.
@@ -311,6 +339,82 @@ impl Tensor {
     /// True if all elements are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// Output columns a matmul kernel accumulates per pass, in a stack array.
+const BLOCK: usize = 16;
+
+/// The matmul kernel every product runs on: `out[j] = sum_k a_k * b_k[j]`
+/// for each column `j` of `out`, where `terms` yields the `(a_k, b_k)`
+/// pairs in ascending k (`b_k` a row at least `out.len()` wide). Each
+/// element starts at +0.0 and adds its terms in that order, skipping exact
+/// zero `a_k`. Accumulating up to BLOCK columns in a stack array keeps that
+/// order, so the result is bitwise the plain i-k-j loop's at every width.
+#[inline]
+fn dot_block<'b, I>(terms: I, out: &mut [f64])
+where
+    I: Iterator<Item = (f64, &'b [f64])> + Clone,
+{
+    for (j0, out_block) in (0..out.len()).step_by(BLOCK).zip(out.chunks_mut(BLOCK)) {
+        let w = out_block.len();
+        let mut acc = [0.0; BLOCK];
+        // lint: allow(hot-loop-alloc, reason = "clones an iterator over borrowed rows: stack state, no heap allocation")
+        for (a, b_row) in terms.clone() {
+            // lint: allow(float-eq, reason = "exact-zero sparsity skip; any nonzero magnitude must multiply")
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc[..w].iter_mut().zip(&b_row[j0..j0 + w]) {
+                *o += a * b;
+            }
+        }
+        out_block.copy_from_slice(&acc[..w]);
+    }
+}
+
+/// `a_i * b` for every row `a_i` of `a_rows`, written to the `b.cols()`-wide
+/// window starting at column `off` of row `i` of `out` (a row-major buffer
+/// with rows `ld` apart). The rows may be gathered from anywhere, which is
+/// how a fused op multiplies indexed rows without copying them out first.
+pub(crate) fn matmul_rows<'a>(
+    a_rows: impl Iterator<Item = &'a [f64]>,
+    b: &Tensor,
+    out: &mut [f64],
+    ld: usize,
+    off: usize,
+) {
+    let n = b.cols;
+    if n == 0 {
+        return;
+    }
+    for (a_row, out_row) in a_rows.zip(out.chunks_mut(ld)) {
+        debug_assert_eq!(a_row.len(), b.rows, "matmul_rows inner width");
+        let window = &mut out_row[off..off + n];
+        if b.rows == 0 {
+            for o in window.iter_mut() {
+                *o = 0.0;
+            }
+            continue;
+        }
+        dot_block(a_row.iter().copied().zip(b.data.chunks_exact(n)), window);
+    }
+}
+
+/// `A^T * G` over paired rows: row `i` of `out` is `sum_k a_k[i] * g_k`
+/// with k walking the pairs in order — the weight-gradient kernel, bitwise
+/// the copy/transpose/matmul chain over the same rows. `out` is
+/// `a-width x g-width` and is overwritten.
+pub(crate) fn matmul_t_rows_into<'a>(
+    a_rows: impl Iterator<Item = &'a [f64]> + Clone,
+    g_rows: impl Iterator<Item = &'a [f64]> + Clone,
+    out: &mut Tensor,
+) {
+    for i in 0..out.rows {
+        // lint: allow(hot-loop-alloc, reason = "clones iterators over borrowed rows: stack state, no heap allocation")
+        let terms = a_rows.clone().zip(g_rows.clone());
+        let terms = terms.map(move |(a, g)| (a[i], g));
+        dot_block(terms, out.row_mut(i));
     }
 }
 
@@ -384,6 +488,61 @@ mod tests {
             for (x, y) in fast.data().iter().zip(slow.data()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+    }
+
+    /// The plain i-k-j product with the exact-zero skip, accumulating in
+    /// `out` — the reference the register-blocked kernels must match.
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let x = a.get(i, k);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out.set(i, j, out.get(i, j) + x * b.get(k, j));
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_bits(x: &Tensor, y: &Tensor) {
+        assert_eq!(x.shape(), y.shape());
+        for (p, q) in x.data().iter().zip(y.data()) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+    }
+
+    /// Every blocked kernel gives the naive loop's bits at widths below, at
+    /// and across the register block, with exact zeros in the left operand.
+    #[test]
+    fn blocked_kernels_match_naive_loops_bitwise() {
+        for (n, k) in [(1, 3), (5, 16), (16, 7), (17, 20), (40, 33)] {
+            let a = Tensor::from_fn(6, k, |r, c| {
+                if (r + c) % 5 == 0 {
+                    0.0
+                } else {
+                    ((r * 31 + c * 17) % 23) as f64 * 0.137 - 1.3
+                }
+            });
+            let b = Tensor::from_fn(k, n, |r, c| ((r * 13 + c * 7) % 19) as f64 * 0.071 - 0.6);
+            let want = naive_matmul(&a, &b);
+            let mut got = Tensor::full(6, n, 9.0);
+            a.matmul_into(&b, &mut got);
+            assert_bits(&got, &want);
+            // a * (b^T)^T through the transposed kernel, fresh and accumulated.
+            let bt = b.transpose();
+            assert_bits(&a.matmul_t(&bt), &want);
+            let mut acc = Tensor::full(6, n, 0.25);
+            a.matmul_t_into(&bt, &mut acc, true);
+            assert_bits(&acc, &Tensor::full(6, n, 0.25).zip(&want, |x, y| x + y));
+            // a^T * g over a row range, against the transposed naive product.
+            let g = Tensor::from_fn(6, n, |r, c| ((r * 5 + c * 3) % 11) as f64 * 0.3 - 1.0);
+            let slow = naive_matmul(&a.rows_copy(1, 5).transpose(), &g.rows_copy(1, 5));
+            assert_bits(&a.matmul_t_rows(&g, 1, 5), &slow);
         }
     }
 

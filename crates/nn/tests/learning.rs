@@ -85,7 +85,8 @@ fn gru_learns_sequence_sum_sign() {
         let mut h = sess.input(Tensor::zeros(seqs.len(), 6));
         for t in 0..5 {
             let xt = sess.input(Tensor::from_fn(seqs.len(), 1, |b, _| seqs[b][t]));
-            h = gru.step(&mut sess, xt, h, &seg);
+            let xw = gru.project(&mut sess, xt);
+            h = gru.step(&mut sess, xw, None, h, None, &seg);
         }
         let pred = readout.forward(&mut sess, h, &seg);
         let target = Tensor::from_fn(seqs.len(), 1, |b, _| labels[b]);

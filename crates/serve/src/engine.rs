@@ -16,11 +16,15 @@ use routenet_nn::Tape;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Upper bound on recycled arena buffers kept between micro-batches. One
-/// oversized batch would otherwise pin its tape memory for the daemon's
-/// whole lifetime (the pool never shrinks on its own; see
-/// [`Tape::trim_pool`]).
-const ARENA_POOL_CAP: usize = 4096;
+/// Upper bound, in f64 scalars, on the arena buffer capacity a worker keeps
+/// between micro-batches (96 MB). A full default `max_batch` of 32 NSFNET
+/// queries on 4-hop routings records 8.9M–9.5M scalars with the default
+/// model, so the bound holds one full batch with room to spare. Without it
+/// the pool only grows: batches of varying shape draw buffers at the wrong
+/// size and grow them (see [`Tape::reuse_grows`]), and in a replay of 60
+/// mixed-size batches the pool reached 31.6M scalars. Beyond the bound the
+/// largest buffers are dropped ([`Tape::trim_pool`]).
+const ARENA_POOL_SCALARS: usize = 12_000_000;
 
 /// Typed serving failures. The daemon maps each to an error response or a
 /// clean exit — it never panics on bad input or injected IO faults.
@@ -127,7 +131,10 @@ impl Engine {
         // lint: allow(panic, reason = "arena is only vacant inside this call; both exits restore it")
         let arena = self.arena.take().expect("arena present between batches");
         let (preds, mut arena) = self.model.predict_batch_compiled_reuse(&refs, arena);
-        arena.trim_pool(ARENA_POOL_CAP);
+        // Pool the whole tape now, so the bound covers everything the
+        // worker keeps until its next batch.
+        arena.reset();
+        arena.trim_pool(ARENA_POOL_SCALARS);
         self.arena = Some(arena);
         preds
     }
@@ -228,6 +235,40 @@ mod tests {
         engine.predict(&refs[..1]);
         assert_eq!(engine.cache_stats(), (2, 1));
         assert_eq!(fork.cache_stats(), (1, 1));
+    }
+
+    /// The arena bound holds one full default-size batch of NSFNET
+    /// queries: nothing is trimmed, and replaying the batch allocates no
+    /// value buffer.
+    #[test]
+    fn arena_budget_holds_a_full_nsfnet_batch() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use routenet_netgraph::routing::randomized_routing;
+        let mut m = RouteNet::new(RouteNetConfig::default());
+        m.set_normalizer(model().normalizer().clone());
+        let g = nsfnet();
+        let mut rng = StdRng::seed_from_u64(5);
+        let scenarios: Vec<Scenario> = (0..crate::ServerConfig::default().max_batch)
+            .map(|i| Scenario {
+                routing: randomized_routing(&g, 2.0, &mut rng).unwrap(),
+                ..scenario(100.0 + i as f64)
+            })
+            .collect();
+        let refs: Vec<&Scenario> = scenarios.iter().collect();
+        let mut engine = Engine::from_model(m, 4);
+        engine.predict(&refs);
+        let arena = engine.arena.as_ref().unwrap();
+        let (misses, grows) = (arena.reuse_misses(), arena.reuse_grows());
+        assert_eq!(
+            arena.pool_scalars(),
+            arena.max_scalars(),
+            "the whole batch stays pooled"
+        );
+        assert!(arena.pool_scalars() <= ARENA_POOL_SCALARS);
+        engine.predict(&refs);
+        let arena = engine.arena.as_ref().unwrap();
+        assert_eq!((arena.reuse_misses(), arena.reuse_grows()), (misses, grows));
     }
 
     #[test]
